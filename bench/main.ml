@@ -21,7 +21,13 @@ let n_queries =
   | Some s -> int_of_string s
   | None -> 150
 
-let data_dir = Filename.concat (Filename.get_temp_dir_name ()) "vida_bench_data"
+let data_root = Filename.concat (Filename.get_temp_dir_name ()) "vida_bench_data"
+
+(* Every experiment reaches its data directory through here, so each one
+   runs alone on a fresh TMPDIR. *)
+let ensure_data_dir () =
+  if not (Sys.file_exists data_root) then Sys.mkdir data_root 0o755;
+  data_root
 
 (* monotonic wall clock in seconds: CPU time ([Sys.time]) over-counts
    multi-domain work (it sums all cores) and would hide real speedups *)
@@ -45,7 +51,7 @@ let domains_meta_fields =
     (Vida_raw.Morsel.resolve ()) (Domain.recommended_domain_count ())
 
 let config = lazy (Hbp_data.config_of_scale sf)
-let paths = lazy (Hbp_data.generate (Lazy.force config) ~dir:data_dir)
+let paths = lazy (Hbp_data.generate (Lazy.force config) ~dir:(ensure_data_dir ()))
 let queries = lazy (Hbp_queries.workload ~n:n_queries (Lazy.force config))
 
 let section name =
@@ -111,7 +117,7 @@ let run_vida () =
   ( { system = "ViDa"; flatten_s = 0.; load_s = 0.; queries_s; space_bytes = 0 },
     s )
 
-let flat_csv_path = Filename.concat data_dir "brainregions_flat.csv"
+let flat_csv_path () = Filename.concat (ensure_data_dir ()) "brainregions_flat.csv"
 
 let run_warehouse kind =
   let p = Lazy.force paths in
@@ -121,7 +127,7 @@ let run_warehouse kind =
     time (fun () ->
         Vida_baseline.Flatten.to_csv_file ~sep:"_"
           (Vida_raw.Raw_buffer.of_path p.Hbp_data.regions)
-          ~path:flat_csv_path)
+          ~path:(flat_csv_path ()))
   in
   (* phase 2: load everything *)
   let run_q, space, load_s =
@@ -136,7 +142,7 @@ let run_warehouse kind =
               (Vida_raw.Raw_buffer.of_path p.Hbp_data.genetics);
             Vida_baseline.Loader.csv_into_colstore store ~name:"BrainRegionsFlat"
               ~schema:flat_schema
-              (Vida_raw.Raw_buffer.of_path flat_csv_path))
+              (Vida_raw.Raw_buffer.of_path (flat_csv_path ())))
       in
       ( Vida_baseline.Colstore.run store,
         Vida_baseline.Colstore.storage_bytes store,
@@ -151,7 +157,7 @@ let run_warehouse kind =
               (Vida_raw.Raw_buffer.of_path p.Hbp_data.genetics);
             Vida_baseline.Loader.csv_into_rowstore store ~name:"BrainRegionsFlat"
               ~schema:flat_schema
-              (Vida_raw.Raw_buffer.of_path flat_csv_path))
+              (Vida_raw.Raw_buffer.of_path (flat_csv_path ())))
       in
       ( Vida_baseline.Rowstore.run store,
         Vida_baseline.Rowstore.storage_bytes store,
@@ -333,7 +339,8 @@ let figure4 () =
         for _ = 1 to repeat do
           let carried = Array.init n (fun obj -> Vida_raw.Semi_index.object_value si obj) in
           total :=
-            Vida_storage.Cache.payload_bytes (Vida_storage.Cache.Values carried);
+            Vida_storage.Cache.payload_bytes
+              (Vida_storage.Cache.Column (Column.Boxed carried));
           for obj = 0 to n - 1 do
             if qualifies obj then incr out
           done
@@ -570,7 +577,7 @@ let ablation_feedback () =
 
 let ablation_zonemaps () =
   section "A6: zone maps skip blocks in binary-array scans";
-  let path = Filename.concat data_dir "zonemap_bench.varr" in
+  let path = Filename.concat (ensure_data_dir ()) "zonemap_bench.varr" in
   let n = 200_000 in
   if not (Sys.file_exists path) then
     Vida_raw.Binarray.write path ~dims:[ n ]
@@ -634,7 +641,7 @@ let ablation_zonemaps () =
 let ablation_parallel () =
   section "A7: parallel reduction (commutative monoids over domains)";
   (* domain spawns cost ~1 ms, so this needs real input sizes *)
-  let path = Filename.concat data_dir "parallel_bench.csv" in
+  let path = Filename.concat (ensure_data_dir ()) "parallel_bench.csv" in
   let n = 400_000 in
   if not (Sys.file_exists path) then (
     let oc = open_out_bin path in
@@ -717,7 +724,9 @@ let micro () =
   let buf = Vida_raw.Raw_buffer.of_path p.Hbp_data.patients in
   let pm_cold = Vida_raw.Positional_map.build buf in
   let pm_warm = Vida_raw.Positional_map.build buf in
-  Vida_raw.Positional_map.populate pm_warm [ 10 ];
+  ignore
+    (Vida_raw.Positional_map.decode pm_warm [ (10, Vida_raw.Positional_map.Text_cells) ]
+       ~fallback:(fun _ _ _ -> Value.Null));
   let nrows = Vida_raw.Positional_map.row_count pm_cold in
   let sample_json =
     let jbuf = Vida_raw.Raw_buffer.of_path p.Hbp_data.regions in
@@ -880,8 +889,7 @@ let vectorized_bench () =
   section "vectorized: fused batch kernels vs closure vs interpreter (1 domain)";
   let n = max 10_000 (int_of_float (4_000_000. *. sf)) in
   (* same wide CSV the parallel experiment scans *)
-  if not (Sys.file_exists data_dir) then Sys.mkdir data_dir 0o755;
-  let path = Filename.concat data_dir (Printf.sprintf "parallel_%d.csv" n) in
+  let path = Filename.concat (ensure_data_dir ()) (Printf.sprintf "parallel_%d.csv" n) in
   if not (Sys.file_exists path) then (
     let oc = open_out_bin path in
     output_string oc "id,age,x,y,z\n";
@@ -1043,7 +1051,7 @@ let parallel_bench () =
   let cores = Domain.recommended_domain_count () in
   (* one wide CSV whose scan dominates; size scales with VIDA_SF *)
   let n = max 10_000 (int_of_float (4_000_000. *. sf)) in
-  let path = Filename.concat data_dir (Printf.sprintf "parallel_%d.csv" n) in
+  let path = Filename.concat (ensure_data_dir ()) (Printf.sprintf "parallel_%d.csv" n) in
   if not (Sys.file_exists path) then (
     let oc = open_out_bin path in
     output_string oc "id,age,x,y,z\n";
@@ -1194,7 +1202,6 @@ let parallel_bench () =
 let recovery () =
   section "recovery: append repair vs full rebuild, epoch re-pin overhead";
   let module G = Vida_governor.Governor in
-  if not (Sys.file_exists data_dir) then Sys.mkdir data_dir 0o755;
   let q = "for { r <- S } yield sum r.v" in
   let value_of db query =
     match Vida.query ~reuse:false db query with
@@ -1221,7 +1228,7 @@ let recovery () =
     List.map
       (fun n ->
         let appended = max 100 (n / 100) in
-        let path = Filename.concat data_dir (Printf.sprintf "recovery_%d.csv" n) in
+        let path = Filename.concat (ensure_data_dir ()) (Printf.sprintf "recovery_%d.csv" n) in
         let oc = open_out_bin path in
         output_string oc "id,v\n";
         for i = 0 to n - 1 do
@@ -1255,7 +1262,7 @@ let recovery () =
   in
   (* --- epoch re-pin overhead: a mid-query change forces one retry --- *)
   let n = max 5_000 (int_of_float (50_000. *. sf)) in
-  let path = Filename.concat data_dir "recovery_repin.csv" in
+  let path = Filename.concat (ensure_data_dir ()) "recovery_repin.csv" in
   let write_rows ~reversed =
     let oc = open_out_bin path in
     output_string oc "id,v\n";
@@ -1655,7 +1662,6 @@ let resilience () =
 
 let durability () =
   section "durability: cold vs warm boot (state-directory reuse)";
-  if not (Sys.file_exists data_dir) then Sys.mkdir data_dir 0o755;
   let q = "for { r <- S } yield sum r.v" in
   let row_line i = Printf.sprintf "%d,%d\n" i (i mod 1000) in
   let value_of db query =
@@ -1690,7 +1696,7 @@ let durability () =
     List.map
       (fun n ->
         let path =
-          Filename.concat data_dir (Printf.sprintf "durability_%d.csv" n)
+          Filename.concat (ensure_data_dir ()) (Printf.sprintf "durability_%d.csv" n)
         in
         let oc = open_out_bin path in
         output_string oc "id,v\n";
@@ -1699,7 +1705,7 @@ let durability () =
         done;
         close_out oc;
         let dir =
-          Filename.concat data_dir (Printf.sprintf "durability_state_%d" n)
+          Filename.concat (ensure_data_dir ()) (Printf.sprintf "durability_state_%d" n)
         in
         rm_rf dir;
         (* cold: an empty state directory — the first result pays the

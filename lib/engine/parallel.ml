@@ -133,7 +133,7 @@ type chain = {
   name : string;  (* registry name of the source *)
   steps : step list;
   n : int;  (* row count *)
-  columns : (string * Value.t array) array;
+  columns : (string * Column.t) array;
 }
 
 (* Rebuild the algebra subtree a chain stands for — used to hand the
@@ -188,13 +188,13 @@ let run_steps compiled env k =
   in
   apply compiled
 
-(* Row record built from hoisted column arrays without a per-row closure. *)
+(* Row record built from hoisted columns without a per-row closure. *)
 let record_of_columns columns i =
   let rec go j acc =
     if j < 0 then acc
     else
-      let f, arr = Array.unsafe_get columns j in
-      go (j - 1) ((f, arr.(i)) :: acc)
+      let f, c = Array.unsafe_get columns j in
+      go (j - 1) ((f, Column.get c i) :: acc)
   in
   Value.Record (go (Array.length columns - 1) [])
 

@@ -120,8 +120,23 @@ let bad_row_count ctx source =
 
 (* --- CSV --- *)
 
-(* Fetch one decoded column through the cache, loading [missing] columns in
-   a single piggy-backed scan when needed. *)
+(* How a CSV column's cells decode: Int and Float columns take the exact
+   in-place fast path, unless a domain rule needs every cell's text. A
+   cell on the fast path converts exactly as [Policy.clean] would, and
+   accepts under every policy, so only the cells it declines need the
+   policy. *)
+let csv_target policy f (ty : Ty.t) =
+  if Vida_cleaning.Policy.rules_for policy f <> [] then Vida_raw.Positional_map.Text_cells
+  else
+    match ty with
+    | Ty.Int -> Vida_raw.Positional_map.Int_cells
+    | Ty.Float -> Vida_raw.Positional_map.Float_cells
+    | _ -> Vida_raw.Positional_map.Text_cells
+
+let csv_attr_ty schema f = (Schema.attr schema (Schema.index_exn schema f)).Schema.ty
+
+(* Fetch decoded columns through the cache, decoding the [missing] ones in
+   a single walk over the file when needed. *)
 let csv_columns ctx (source : Source.t) schema fs =
   let name = source.Source.name in
   let key f = { Cache.source = name; item = f; layout = Layout.Values } in
@@ -143,50 +158,42 @@ let csv_columns ctx (source : Source.t) schema fs =
         | None -> (f, `Absent)
         | Some col -> (
           match cache_find ctx source (key f) with
-          | Some (Cache.Values vs) -> (f, `Cached vs)
+          | Some (Cache.Column c) -> (f, `Cached c)
           | Some _ | None -> (f, `Missing col)))
       scan_fs
   in
   let missing =
-    List.filter_map (function f, `Missing col -> Some (f, col) | _ -> None) lookups
+    Array.of_list
+      (List.filter_map (function f, `Missing col -> Some (f, col) | _ -> None) lookups)
   in
   let loaded = Hashtbl.create 8 in
-  if missing <> [] then (
+  if missing <> [||] then (
     let pm = Structures.posmap ~domains:ctx.domains ctx.structures source in
-    let nrows = Vida_raw.Positional_map.row_count pm in
-    (* field types hoisted out of the per-row callback: one schema lookup
-       per column for the whole scan, not one per cell *)
-    let arrays =
-      List.map
-        (fun (f, col) ->
-          let ty = (Schema.attr schema (Schema.index_exn schema f)).Schema.ty in
-          (f, ty, col, Array.make nrows Value.Null))
-        missing
-    in
-    let cols = List.map (fun (_, _, col, _) -> col) arrays in
+    let tys = Array.map (fun (f, _) -> csv_attr_ty schema f) missing in
     let bad = bad_set ctx source.Source.name in
-    Vida_raw.Positional_map.record_while_scanning pm ~cols (fun row fields ->
-        let span =
-          (* raw byte range of the row, for quarantine reporting *)
-          let start, stop = Vida_raw.Positional_map.row_bounds pm row in
-          (name, start, stop - start)
-        in
-        List.iteri
-          (fun i (f, ty, _, arr) ->
-            match Vida_cleaning.Policy.clean ~span policy ~field:f ty fields.(i) with
-            | Ok (Some v) -> arr.(row) <- v
-            | Ok None ->
-              (* problematic entry: remember it; generated code skips it *)
-              mark_bad ctx bad row
-            | Error msg ->
-              let _, offset, _ = span in
-              Vida_error.parse_error ~source:name ~offset "%s" msg)
-          arrays);
-    List.iter
-      (fun (f, _, _, arr) ->
-        cache_put ctx source (key f) (Cache.Values arr);
-        Hashtbl.replace loaded f arr)
-      arrays);
+    let fallback j row text =
+      let start, stop = Vida_raw.Positional_map.row_bounds pm row in
+      (* the raw byte range of the row, for quarantine reporting *)
+      let span = (name, start, stop - start) in
+      match Vida_cleaning.Policy.clean ~span policy ~field:(fst missing.(j)) tys.(j) text with
+      | Ok (Some v) -> v
+      | Ok None ->
+        (* problematic entry: remember it; generated code skips it *)
+        mark_bad ctx bad row;
+        Value.Null
+      | Error msg -> Vida_error.parse_error ~source:name ~offset:start "%s" msg
+    in
+    let decoded =
+      Vida_raw.Positional_map.decode pm
+        (Array.to_list
+           (Array.mapi (fun j (f, col) -> (col, csv_target policy f tys.(j))) missing))
+        ~fallback
+    in
+    Array.iteri
+      (fun j (f, _) ->
+        cache_put ctx source (key f) (Cache.Column decoded.(j));
+        Hashtbl.replace loaded f decoded.(j))
+      missing);
   let nrows = ref (-1) in
   let columns =
     (* widened fields were scanned only for the skip decision: the caller
@@ -195,13 +202,13 @@ let csv_columns ctx (source : Source.t) schema fs =
       (fun f ->
         match List.assoc f lookups with
         | `Absent -> (f, `Null)
-        | `Cached vs ->
-          nrows := Array.length vs;
-          (f, `Col vs)
+        | `Cached c ->
+          nrows := Column.length c;
+          (f, `Col c)
         | `Missing _ ->
-          let arr = Hashtbl.find loaded f in
-          nrows := Array.length arr;
-          (f, `Col arr))
+          let c = Hashtbl.find loaded f in
+          nrows := Column.length c;
+          (f, `Col c))
       fs
   in
   let nrows =
@@ -209,6 +216,14 @@ let csv_columns ctx (source : Source.t) schema fs =
     else Vida_raw.Positional_map.row_count (Structures.posmap ~domains:ctx.domains ctx.structures source)
   in
   (columns, nrows)
+
+(* One record per row, boxing each field through {!Column.get}. *)
+let record_of columns row =
+  Value.Record
+    (List.map
+       (fun (f, col) ->
+         match col with `Null -> (f, Value.Null) | `Col c -> (f, Column.get c row))
+       columns)
 
 let csv_producer ctx (source : Source.t) schema need consumer =
   let fs =
@@ -226,66 +241,76 @@ let csv_producer ctx (source : Source.t) schema need consumer =
     (* cache-served rows bypass the raw scan loops, so the epoch tick
        lives here too — a fully-cached query still notices a writer *)
     Vida_raw.Epoch.check ~source:name ();
-    if not (Hashtbl.mem bad row) then
-      consumer
-        (Value.Record
-           (List.map
-              (fun (f, col) ->
-                match col with
-                | `Null -> (f, Value.Null)
-                | `Col arr -> (f, arr.(row)))
-              columns))
+    if not (Hashtbl.mem bad row) then consumer (record_of columns row)
   done
 
 (* --- JSON lines --- *)
 
-let json_field_column ctx (source : Source.t) f =
-  let key = { Cache.source = source.Source.name; item = f; layout = Layout.Values } in
-  match cache_find ctx source key with
-  | Some (Cache.Values vs) -> vs
-  | Some _ | None ->
+(* A malformed object or field under the source's cleaning policy. *)
+let json_error ctx si ~name policy bad obj e =
+  match Vida_cleaning.Policy.on_error policy with
+  | Vida_cleaning.Policy.Strict -> raise (Vida_error.Error e)
+  | Vida_cleaning.Policy.Null_value | Vida_cleaning.Policy.Nearest -> Value.Null
+  | Vida_cleaning.Policy.Skip_row ->
+    mark_bad ctx bad obj;
+    Value.Null
+  | Vida_cleaning.Policy.Quarantine ->
+    let pos, len = Vida_raw.Semi_index.object_bounds si obj in
+    Vida_cleaning.Policy.quarantine policy ~source:name ~offset:pos ~length:len
+      (Vida_error.to_string e);
+    mark_bad ctx bad obj;
+    Value.Null
+
+(* Fetch decoded field columns through the cache; the missing ones are
+   decoded together, in one pass over the objects. *)
+let json_columns ctx (source : Source.t) fs =
+  let name = source.Source.name in
+  let key f = { Cache.source = name; item = f; layout = Layout.Values } in
+  let lookups =
+    List.map
+      (fun f ->
+        match cache_find ctx source (key f) with
+        | Some (Cache.Column c) -> (f, Some c)
+        | Some _ | None -> (f, None))
+      fs
+  in
+  let missing =
+    List.sort_uniq compare (List.filter_map (function f, None -> Some f | _ -> None) lookups)
+  in
+  let loaded = Hashtbl.create 8 in
+  if missing <> [] then (
     let si = Structures.semi_index ~domains:ctx.domains ctx.structures source in
-    let n = Vida_raw.Semi_index.object_count si in
-    let policy = cleaning_policy ctx source.Source.name in
-    let bad = bad_set ctx source.Source.name in
-    let arr =
-      Array.init n (fun obj ->
-          match Vida_raw.Semi_index.field_value si ~obj ~field:f with
-          | v -> v
-          | exception Vida_error.Error e -> (
-            match Vida_cleaning.Policy.on_error policy with
-            | Vida_cleaning.Policy.Strict -> raise (Vida_error.Error e)
-            | Vida_cleaning.Policy.Null_value | Vida_cleaning.Policy.Nearest ->
-              Value.Null
-            | Vida_cleaning.Policy.Skip_row ->
-              mark_bad ctx bad obj;
-              Value.Null
-            | Vida_cleaning.Policy.Quarantine ->
-              let pos, len = Vida_raw.Semi_index.object_bounds si obj in
-              Vida_cleaning.Policy.quarantine policy ~source:source.Source.name
-                ~offset:pos ~length:len (Vida_error.to_string e);
-              mark_bad ctx bad obj;
-              Value.Null))
+    let policy = cleaning_policy ctx name in
+    let bad = bad_set ctx name in
+    let decoded =
+      Vida_raw.Semi_index.decode si missing ~on_error:(fun _ obj e ->
+          json_error ctx si ~name policy bad obj e)
     in
-    cache_put ctx source key (Cache.Values arr);
-    arr
+    List.iteri
+      (fun j f ->
+        cache_put ctx source (key f) (Cache.Column decoded.(j));
+        Hashtbl.replace loaded f decoded.(j))
+      missing);
+  List.map
+    (fun (f, c) -> (f, match c with Some c -> c | None -> Hashtbl.find loaded f))
+    lookups
 
 let json_producer ctx (source : Source.t) need consumer =
   match need with
   | Analysis.Fields fs ->
-    let columns = List.map (fun f -> (f, json_field_column ctx source f)) fs in
+    let columns = json_columns ctx source fs in
     let n =
       match columns with
-      | (_, arr) :: _ -> Array.length arr
+      | (_, c) :: _ -> Column.length c
       | [] ->
         Vida_raw.Semi_index.object_count (Structures.semi_index ~domains:ctx.domains ctx.structures source)
     in
+    let columns = List.map (fun (f, c) -> (f, `Col c)) columns in
     let bad = bad_set ctx source.Source.name in
     Vida_sync.Cell.read ~name:bad_rows_cell ~site:"plugins.json-producer";
     for obj = 0 to n - 1 do
       Vida_raw.Epoch.check ~source:source.Source.name ();
-      if not (Hashtbl.mem bad obj) then
-        consumer (Value.Record (List.map (fun (f, arr) -> (f, arr.(obj))) columns))
+      if not (Hashtbl.mem bad obj) then consumer (record_of columns obj)
     done
   | Analysis.Whole -> (
     let name = source.Source.name in
@@ -375,16 +400,23 @@ let xml_index_reported ctx (source : Source.t) =
   | _ -> ());
   xi
 
-let xml_field_column ctx (source : Source.t) f =
+(* A column of a format without a typed decoder: derived value by value,
+   typed once, at cache insertion. *)
+let cached_column ctx (source : Source.t) f ~n derive =
   let key = { Cache.source = source.Source.name; item = f; layout = Layout.Values } in
   match cache_find ctx source key with
-  | Some (Cache.Values vs) -> vs
+  | Some (Cache.Column c) -> c
   | Some _ | None ->
-    let xi = xml_index_reported ctx source in
-    let n = Vida_raw.Xml_index.element_count xi in
-    let arr = Array.init n (fun elem -> Vida_raw.Xml_index.field_value xi ~elem ~field:f) in
-    cache_put ctx source key (Cache.Values arr);
-    arr
+    let n = n () in
+    let c = Column.of_values (Array.init n derive) in
+    cache_put ctx source key (Cache.Column c);
+    c
+
+let xml_field_column ctx (source : Source.t) f =
+  let xi = lazy (xml_index_reported ctx source) in
+  cached_column ctx source f
+    ~n:(fun () -> Vida_raw.Xml_index.element_count (Lazy.force xi))
+    (fun elem -> Vida_raw.Xml_index.field_value (Lazy.force xi) ~elem ~field:f)
 
 let xml_producer ctx (source : Source.t) need consumer =
   match need with
@@ -392,12 +424,13 @@ let xml_producer ctx (source : Source.t) need consumer =
     let columns = List.map (fun f -> (f, xml_field_column ctx source f)) fs in
     let n =
       match columns with
-      | (_, arr) :: _ -> Array.length arr
+      | (_, c) :: _ -> Column.length c
       | [] -> Vida_raw.Xml_index.element_count (xml_index_reported ctx source)
     in
+    let columns = List.map (fun (f, c) -> (f, `Col c)) columns in
     for elem = 0 to n - 1 do
       Vida_raw.Epoch.check ~source:source.Source.name ();
-      consumer (Value.Record (List.map (fun (f, arr) -> (f, arr.(elem))) columns))
+      consumer (record_of columns elem)
     done
   | Analysis.Whole -> (
     let name = source.Source.name in
@@ -424,6 +457,11 @@ let xml_producer ctx (source : Source.t) need consumer =
 
 (* --- binary arrays --- *)
 
+let binarray_column ctx source ba f idx =
+  cached_column ctx source f
+    ~n:(fun () -> Vida_raw.Binarray.cell_count ba)
+    (fun cell -> Vida_raw.Binarray.get ba ~cell ~field:idx)
+
 let binarray_producer ctx (source : Source.t) need consumer =
   let ba = Structures.binarray ctx.structures source in
   let all_fields =
@@ -442,26 +480,12 @@ let binarray_producer ctx (source : Source.t) need consumer =
         match Vida_raw.Binarray.field_index ba f with
         | None -> (f, `Null)
         | Some idx ->
-          let key = { Cache.source = name; item = f; layout = Layout.Values } in
-          let arr =
-            match cache_find ctx source key with
-            | Some (Cache.Values vs) -> vs
-            | Some _ | None ->
-              let arr = Array.init n (fun cell -> Vida_raw.Binarray.get ba ~cell ~field:idx) in
-              cache_put ctx source key (Cache.Values arr);
-              arr
-          in
-          (f, `Col arr))
+          (f, `Col (binarray_column ctx source ba f idx)))
       fs
   in
   for cell = 0 to n - 1 do
     Vida_raw.Epoch.check ~source:name ();
-    consumer
-      (Value.Record
-         (List.map
-            (fun (f, col) ->
-              match col with `Null -> (f, Value.Null) | `Col arr -> (f, arr.(cell)))
-            columns))
+    consumer (record_of columns cell)
   done
 
 (* binarray scan with zone-map block skipping: the ranges are a
@@ -503,6 +527,7 @@ let binarray_ranged_producer ctx (source : Source.t) need ~ranges consumer =
    access or rows are being skipped by a cleaning policy (alignment would
    be unsafe). *)
 let column_arrays ctx (source : Source.t) ~fields =
+  let nulls n = Column.Boxed (Array.make n Value.Null) in
   if bad_row_count ctx source.Source.name > 0 then None
   else
     match source.Source.format with
@@ -515,10 +540,7 @@ let column_arrays ctx (source : Source.t) ~fields =
         Some
           ( nrows,
             List.map
-              (fun (f, col) ->
-                match col with
-                | `Col arr -> (f, arr)
-                | `Null -> (f, Array.make nrows Value.Null))
+              (fun (f, col) -> (f, match col with `Col c -> c | `Null -> nulls nrows))
               columns )
     | Source.Binary_array ->
       let ba = Structures.binarray ctx.structures source in
@@ -528,22 +550,8 @@ let column_arrays ctx (source : Source.t) ~fields =
           List.map
             (fun f ->
               match Vida_raw.Binarray.field_index ba f with
-              | None -> (f, Array.make n Value.Null)
-              | Some idx ->
-                let key =
-                  { Cache.source = source.Source.name; item = f; layout = Layout.Values }
-                in
-                let arr =
-                  match cache_find ctx source key with
-                  | Some (Cache.Values vs) -> vs
-                  | Some _ | None ->
-                    let arr =
-                      Array.init n (fun cell -> Vida_raw.Binarray.get ba ~cell ~field:idx)
-                    in
-                    cache_put ctx source key (Cache.Values arr);
-                    arr
-                in
-                (f, arr))
+              | None -> (f, nulls n)
+              | Some idx -> (f, binarray_column ctx source ba f idx))
             fields )
     | Source.Inline v ->
       let elements = Array.of_list (Value.elements v) in
@@ -558,13 +566,14 @@ let column_arrays ctx (source : Source.t) ~fields =
             List.map
               (fun f ->
                 ( f,
-                  Array.map
-                    (fun e ->
-                      match Value.field_opt e f with Some v -> v | None -> Value.Null)
-                    elements ))
+                  Column.of_values
+                    (Array.map
+                       (fun e ->
+                         match Value.field_opt e f with Some v -> v | None -> Value.Null)
+                       elements) ))
               fields )
     | Source.Json_lines _ ->
-      let columns = List.map (fun f -> (f, json_field_column ctx source f)) fields in
+      let columns = json_columns ctx source fields in
       (* the cold column build may itself have marked objects bad — same
          re-check as the CSV path, or the columnar fold would include
          objects the cleaning policy skips *)
@@ -572,7 +581,7 @@ let column_arrays ctx (source : Source.t) ~fields =
       else
         let n =
           match columns with
-          | (_, arr) :: _ -> Array.length arr
+          | (_, c) :: _ -> Column.length c
           | [] ->
             Vida_raw.Semi_index.object_count
               (Structures.semi_index ~domains:ctx.domains ctx.structures source)
@@ -582,7 +591,7 @@ let column_arrays ctx (source : Source.t) ~fields =
       let columns = List.map (fun f -> (f, xml_field_column ctx source f)) fields in
       let n =
         match columns with
-        | (_, arr) :: _ -> Array.length arr
+        | (_, c) :: _ -> Column.length c
         | [] -> Vida_raw.Xml_index.element_count (xml_index_reported ctx source)
       in
       Some (n, columns)
@@ -685,14 +694,6 @@ exception Unextendable
 (* Old cells carry over; cells from [from] on are re-derived ([from] is
    one before the old item count for line-oriented formats, whose last old
    item may have been a partial line completed by the append). *)
-let extended_values ~n ~from ~derive old =
-  let arr = Array.make n Value.Null in
-  Array.blit old 0 arr 0 from;
-  for i = from to n - 1 do
-    arr.(i) <- derive i
-  done;
-  arr
-
 let extended_strings ~n ~from ~derive old =
   let arr = Array.make n "" in
   Array.blit old 0 arr 0 from;
@@ -700,6 +701,24 @@ let extended_strings ~n ~from ~derive old =
     arr.(i) <- derive i
   done;
   arr
+
+(* The cached columns among [entries] that hold [old_items] cells. *)
+let value_columns entries ~old_items =
+  List.filter_map
+    (fun ((key : Cache.key), payload, _) ->
+      match (payload, key.Cache.layout) with
+      | Cache.Column old, Layout.Values when Column.length old = old_items ->
+        Some (key, old)
+      | _ -> None)
+    entries
+
+let put_extended ctx ~fingerprint ~from columns tails =
+  List.iteri
+    (fun j ((key : Cache.key), old) ->
+      ignore
+        (Cache.put ~fingerprint ctx.cache key
+           (Cache.Column (Column.splice old ~keep:from tails.(j)))))
+    columns
 
 let extend_csv_caches ctx (source : Source.t) pm ~old_rows ~fingerprint entries =
   let name = source.Source.name in
@@ -711,28 +730,31 @@ let extend_csv_caches ctx (source : Source.t) pm ~old_rows ~fingerprint entries 
   let n = Vida_raw.Positional_map.row_count pm in
   let from = max 0 (old_rows - 1) in
   let policy = cleaning_policy ctx name in
-  List.iter
-    (fun ((key : Cache.key), payload, _) ->
-      match (payload, key.Cache.layout, Schema.index schema key.Cache.item) with
-      | Cache.Values old, Layout.Values, Some col when Array.length old = old_rows ->
-        let ty = (Schema.attr schema col).Schema.ty in
-        let derive row =
-          let start, stop = Vida_raw.Positional_map.row_bounds pm row in
-          match
-            Vida_cleaning.Policy.clean ~span:(name, start, stop - start) policy
-              ~field:key.Cache.item ty
-              (Vida_raw.Positional_map.field pm ~row ~col)
-          with
-          | Ok (Some v) -> v
-          | Ok None | Error _ ->
-            (* an appended row needs the full cleaning machinery *)
-            raise Unextendable
-        in
-        ignore
-          (Cache.put ~fingerprint ctx.cache key
-             (Cache.Values (extended_values ~n ~from ~derive old)))
-      | _ -> ()  (* unrecognized shape: left to stale-drop on next access *))
-    entries
+  let columns =
+    List.filter_map
+      (fun ((key : Cache.key), old) ->
+        Option.map (fun col -> (key, old, col)) (Schema.index schema key.Cache.item))
+      (value_columns entries ~old_items:old_rows)
+  in
+  let tys = Array.of_list (List.map (fun (k, _, _) -> csv_attr_ty schema k.Cache.item) columns) in
+  let fields = Array.of_list (List.map (fun (k, _, _) -> k.Cache.item) columns) in
+  let fallback j row text =
+    let start, stop = Vida_raw.Positional_map.row_bounds pm row in
+    match
+      Vida_cleaning.Policy.clean ~span:(name, start, stop - start) policy ~field:fields.(j)
+        tys.(j) text
+    with
+    | Ok (Some v) -> v
+    | Ok None | Error _ ->
+      (* an appended row needs the full cleaning machinery *)
+      raise Unextendable
+  in
+  if columns <> [] then
+    put_extended ctx ~fingerprint ~from
+      (List.map (fun (k, old, _) -> (k, old)) columns)
+      (Vida_raw.Positional_map.decode ~rows:(from, n) pm
+         (List.mapi (fun j (_, _, col) -> (col, csv_target policy fields.(j) tys.(j))) columns)
+         ~fallback)
 
 let extend_json_caches ctx (source : Source.t) si ~old_objects ~fingerprint entries =
   let n = Vida_raw.Semi_index.object_count si in
@@ -742,16 +764,15 @@ let extend_json_caches ctx (source : Source.t) si ~old_objects ~fingerprint entr
     | Source.Json_lines { element = Ty.Record fields } -> Some (List.map fst fields)
     | _ -> None
   in
+  let columns = value_columns entries ~old_items:old_objects in
+  if columns <> [] then
+    put_extended ctx ~fingerprint ~from columns
+      (Vida_raw.Semi_index.decode ~objs:(from, n) si
+         (List.map (fun ((k : Cache.key), _) -> k.Cache.item) columns)
+         ~on_error:(fun _ _ e -> raise (Vida_error.Error e)));
   List.iter
     (fun ((key : Cache.key), payload, _) ->
       match (payload, key.Cache.layout) with
-      | Cache.Values old, Layout.Values when Array.length old = old_objects ->
-        let derive obj =
-          Vida_raw.Semi_index.field_value si ~obj ~field:key.Cache.item
-        in
-        ignore
-          (Cache.put ~fingerprint ctx.cache key
-             (Cache.Values (extended_values ~n ~from ~derive old)))
       | Cache.Strings old, Layout.Vbson
         when String.equal key.Cache.item whole_object_item
              && Array.length old = old_objects ->
@@ -773,16 +794,21 @@ let extend_json_caches ctx (source : Source.t) si ~old_objects ~fingerprint entr
    all kept. *)
 let extend_xml_caches ctx xi ~old_elements ~fingerprint entries =
   let n = Vida_raw.Xml_index.element_count xi in
+  let columns = value_columns entries ~old_items:old_elements in
+  let tails =
+    Array.of_list
+      (List.map
+         (fun ((key : Cache.key), _) ->
+           Column.of_values
+             (Array.init (n - old_elements) (fun i ->
+                  Vida_raw.Xml_index.field_value xi ~elem:(old_elements + i)
+                    ~field:key.Cache.item)))
+         columns)
+  in
+  put_extended ctx ~fingerprint ~from:old_elements columns tails;
   List.iter
     (fun ((key : Cache.key), payload, _) ->
       match (payload, key.Cache.layout) with
-      | Cache.Values old, Layout.Values when Array.length old = old_elements ->
-        let derive elem =
-          Vida_raw.Xml_index.field_value xi ~elem ~field:key.Cache.item
-        in
-        ignore
-          (Cache.put ~fingerprint ctx.cache key
-             (Cache.Values (extended_values ~n ~from:old_elements ~derive old)))
       | Cache.Strings old, Layout.Vbson
         when String.equal key.Cache.item whole_object_item
              && Array.length old = old_elements ->

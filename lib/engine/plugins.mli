@@ -6,9 +6,11 @@
     those bindings, reading through the source's auxiliary structures and
     ViDa's caches:
 
-    - CSV: positional-map navigation; decoded columns cached per attribute.
-    - JSON lines: semi-index field extraction; parsed field columns cached
-      per attribute; whole objects cached in compact VBSON.
+    - CSV: positional-map navigation; numeric fields decoded in place
+      into unboxed columns, cached per attribute.
+    - JSON lines: semi-index field extraction, all needed fields in one
+      pass per object; columns cached per attribute (numbers unboxed);
+      whole objects cached in compact VBSON.
     - Binary arrays: direct-offset cell access; only needed fields read.
     - Inline collections and arbitrary source expressions: generic
       interpreter fallback.
@@ -78,12 +80,12 @@ val binarray_ranged_producer :
   (Vida_data.Value.t -> unit) -> unit
 
 (** [column_arrays ctx source ~fields] is a columnar view (row count plus
-    one decoded array per field) for formats that support it, through the
-    ordinary caches — [None] for hierarchical formats or when a cleaning
-    policy is skipping rows. *)
+    one decoded column per field, unboxed where the values allow) for
+    formats that support it, through the ordinary caches — [None] for
+    external sources or when a cleaning policy is skipping rows. *)
 val column_arrays :
   ctx -> Vida_catalog.Source.t -> fields:string list ->
-  (int * (string * Vida_data.Value.t array) list) option
+  (int * (string * Vida_data.Column.t) list) option
 
 (** [source_count ctx source] is the element count without materializing
     values (row/object/cell count; used by the optimizer). *)

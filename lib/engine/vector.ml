@@ -17,9 +17,9 @@ module BA1 = Bigarray.Array1
    with batch-at-a-time kernels:
 
    - source columns live in unboxed buffers ([Bigarray] float64/int) plus
-     a byte validity mask (1 = non-NULL), promoted once per physical
-     column (memoized) or batch-decoded straight out of a binary-array
-     file ({!Binarray.fill_floats});
+     a byte validity mask (1 = non-NULL) — the cache's own typed columns
+     ({!Column}), used as they are — or are batch-decoded straight out of
+     a binary-array file ({!Binarray.fill_floats});
    - a selection vector (row indices surviving the filters so far) is
      threaded through the operators instead of materializing intermediate
      rows; filters compact it in place, binds evaluate into dense buffers
@@ -164,87 +164,30 @@ let col_ty = function
   | ColI _ | ColRawI _ -> TI
   | ColB _ -> TB
 
-(* Promote a boxed (policy-cleaned, cache-resident) column to its unboxed
-   form. The type is exact, never widened: a column mixing Int and Float
-   declines, because Int-vs-Float result typing in {!Eval} is per-row and
-   a widened column would change result types. *)
-let promote ~field (arr : Value.t array) : col =
-  let n = Array.length arr in
-  let kind = ref `Unknown and nulls = ref false in
-  (try
-     for i = 0 to n - 1 do
-       match Array.unsafe_get arr i with
-       | Value.Null -> nulls := true
-       | Value.Float _ -> (
-         match !kind with `Unknown -> kind := `F | `F -> () | _ -> raise Exit)
-       | Value.Int _ -> (
-         match !kind with `Unknown -> kind := `I | `I -> () | _ -> raise Exit)
-       | Value.Bool _ -> (
-         match !kind with `Unknown -> kind := `B | `B -> () | _ -> raise Exit)
-       | _ -> raise Exit
-     done
-   with Exit -> decline "column %s is not a uniform numeric/bool column" field);
-  let validity () =
-    if not !nulls then None
-    else begin
-      let v = Bytes.make n '\001' in
-      for i = 0 to n - 1 do
-        if arr.(i) = Value.Null then Bytes.unsafe_set v i '\000'
-      done;
-      Some v
-    end
-  in
-  match !kind with
-  | `Unknown -> decline "column %s has no typed values" field
-  | `F ->
-    let a = BA1.create Bigarray.float64 Bigarray.c_layout n in
-    for i = 0 to n - 1 do
-      match Array.unsafe_get arr i with
-      | Value.Float f -> BA1.unsafe_set a i f
-      | _ -> BA1.unsafe_set a i 0.
-    done;
-    ColF (a, validity ())
-  | `I ->
-    let a = BA1.create Bigarray.int Bigarray.c_layout n in
-    for i = 0 to n - 1 do
-      match Array.unsafe_get arr i with
-      | Value.Int x -> BA1.unsafe_set a i x
-      | _ -> BA1.unsafe_set a i 0
-    done;
-    ColI (a, validity ())
-  | `B ->
-    let a = Bytes.make n '\000' in
-    for i = 0 to n - 1 do
-      match Array.unsafe_get arr i with
-      | Value.Bool true -> Bytes.unsafe_set a i '\001'
-      | _ -> ()
-    done;
-    ColB (a, validity ())
-
-(* Promotion memo, keyed by physical identity of the boxed column: the
-   plugins cache hands out the same immutable array until invalidation,
-   and live-data extension replaces arrays wholesale, so [==] is exact.
-   Bounded FIFO; a stale entry simply ages out. *)
-let memo : (Value.t array * col) list ref = ref []
-let memo_lock = Vida_sync.Lock.create ~rank:65 ~name:"vector.memo" ()
-let memo_cap = 64
-
-let promote_memo ~field arr =
-  match
-    Vida_sync.Lock.protect memo_lock (fun () ->
-        List.find_opt (fun (a, _) -> a == arr) !memo)
-  with
-  | Some (_, c) -> c
-  | None ->
-    let c = promote ~field arr in
-    Vida_sync.Lock.protect memo_lock (fun () ->
-        let kept =
-          if List.length !memo >= memo_cap then
-            List.filteri (fun i _ -> i < memo_cap - 1) !memo
-          else !memo
-        in
-        memo := (arr, c) :: kept);
-    c
+(* A cached column as a kernel column. Numeric columns are unboxed
+   already (typed once, when the decoder or the cache built them), so they
+   are used as they are; a boxed column is typed here, per run — a
+   Bool column is the one kind that can succeed. The type is exact, never
+   widened: a column mixing Int and Float declines, because Int-vs-Float
+   result typing in {!Eval} is per-row and a widened column would change
+   result types. *)
+let col_of_column ~field (c : Column.t) : col =
+  match c with
+  | Column.Floats (a, v) -> ColF (a, v)
+  | Column.Ints (a, v) -> ColI (a, v)
+  | Column.Boxed arr ->
+    let n = Array.length arr in
+    let typed = ref false and nulls = ref false in
+    Array.iter
+      (function
+        | Value.Null -> nulls := true
+        | Value.Bool _ -> typed := true
+        | _ -> decline "column %s is not a uniform numeric/bool column" field)
+      arr;
+    if not !typed then decline "column %s has no typed values" field;
+    let bit f = Bytes.init n (fun i -> if f arr.(i) then '\001' else '\000') in
+    let validity = if !nulls then Some (bit (fun v -> v <> Value.Null)) else None in
+    ColB (bit (fun v -> v = Value.Bool true), validity)
 
 (* --- typed kernel IR -------------------------------------------------- *)
 
@@ -1183,7 +1126,7 @@ let flush_feedback ctx (k : kernel) =
 (* Compile a kernel for a chain the parallel engine already resolved
    (columns fetched, effects vetted). The kernel is immutable and shared;
    each worker domain instantiates its own scratch. *)
-let compile_chain ctx ~name ~var ~(columns : (string * Value.t array) array)
+let compile_chain ctx ~name ~var ~(columns : (string * Column.t) array)
     ~nrows ~steps ~monoid ~head : (kernel, string) result =
   ignore ctx;
   if not (enabled ()) then Error "vectorized engine disabled"
@@ -1214,7 +1157,7 @@ let compile_chain ctx ~name ~var ~(columns : (string * Value.t array) array)
                  match
                    Array.find_opt (fun (g, _) -> String.equal g f) columns
                  with
-                 | Some (_, arr) -> (f, promote_memo ~field:f arr)
+                 | Some (_, c) -> (f, col_of_column ~field:f c)
                  | None -> decline "field %s has no column" f)
                fields)
         in
@@ -1226,7 +1169,7 @@ let compile_chain ctx ~name ~var ~(columns : (string * Value.t array) array)
 (* Resolve columns, type and run — performed per invocation so the thunk
    never holds stale columns across a source invalidation: every run
    re-reads through the plugins cache exactly as the closure engine does,
-   and the promotion memo absorbs the repeat cost. *)
+   and numeric columns come out of the cache unboxed already. *)
 let run_candidate ctx (c : candidate) () : Value.t =
   let cols =
     match c.source.Source.format with
@@ -1268,7 +1211,7 @@ let run_candidate ctx (c : candidate) () : Value.t =
         (fun (nrows, cols) ->
           ( nrows,
             Array.of_list
-              (List.map (fun (f, arr) -> (f, promote_memo ~field:f arr)) cols),
+              (List.map (fun (f, c) -> (f, col_of_column ~field:f c)) cols),
             None ))
         (Plugins.column_arrays ctx c.source ~fields:c.fields)
   in

@@ -6,41 +6,47 @@ open Vida_data
    The tokenizer core works on the whole file as one immutable string:
    [row_end] is clamped to the string length once on entry, after which
    every access below is within-bounds by construction, so the hot loops
-   read with [String.unsafe_get] instead of paying a per-byte check. *)
-let field_bounds_str ~delim s ~row_end pos =
-  Io_stats.add_fields_tokenized 1;
-  let row_end = min row_end (String.length s) in
+   read with [String.unsafe_get] instead of paying a per-byte check. It
+   writes its three results into a caller-owned cursor, so a scan loop
+   allocates nothing per field. *)
+type cursor = { mutable start : int; mutable stop : int; mutable next : int }
+
+let cursor () = { start = 0; stop = 0; next = 0 }
+
+let scan_field c ~delim s ~row_end pos =
+  (* [Int.min]: the polymorphic [min] would be a C call per field *)
+  let row_end = Int.min row_end (String.length s) in
   if pos >= 0 && pos < row_end && String.unsafe_get s pos = '"' then (
-    let rec scan i =
-      if i >= row_end then i
-      else
-        match String.unsafe_get s i with
-        | '"' ->
-          if i + 1 < row_end && String.unsafe_get s (i + 1) = '"' then scan (i + 2)
-          else i
-        | _ -> scan (i + 1)
-    in
-    let close = scan (pos + 1) in
+    let i = ref (pos + 1) and close = ref (-1) in
+    while !close < 0 do
+      if !i >= row_end then close := !i
+      else if String.unsafe_get s !i = '"' then
+        if !i + 1 < row_end && String.unsafe_get s (!i + 1) = '"' then i := !i + 2
+        else close := !i
+      else incr i
+    done;
     (* Tolerate stray bytes between the closing quote and the delimiter
        (e.g. ["abc"x,next]): the field keeps its quoted content and the
        scan resyncs at the next delimiter instead of dropping the rest of
        the row. *)
-    let rec to_delim i =
-      if i >= row_end then row_end + 1
-      else if String.unsafe_get s i = delim then i + 1
-      else to_delim (i + 1)
-    in
-    (pos + 1, close, to_delim (close + 1)))
+    let j = ref (!close + 1) in
+    while !j < row_end && String.unsafe_get s !j <> delim do incr j done;
+    c.start <- pos + 1;
+    c.stop <- !close;
+    c.next <- (if !j >= row_end then row_end + 1 else !j + 1))
   else (
-    let pos = max 0 pos in
-    let rec scan i =
-      if i >= row_end then i
-      else if String.unsafe_get s i = delim then i
-      else scan (i + 1)
-    in
-    let stop = scan pos in
-    let next = if stop < row_end then stop + 1 else row_end + 1 in
-    (pos, stop, next))
+    let pos = Int.max 0 pos in
+    let i = ref pos in
+    while !i < row_end && String.unsafe_get s !i <> delim do incr i done;
+    c.start <- pos;
+    c.stop <- !i;
+    c.next <- (if !i < row_end then !i + 1 else row_end + 1))
+
+let field_bounds_str ~delim s ~row_end pos =
+  Io_stats.add_fields_tokenized 1;
+  let c = cursor () in
+  scan_field c ~delim s ~row_end pos;
+  (c.start, c.stop, c.next)
 
 let field_bounds ~delim buf ~row_end pos =
   field_bounds_str ~delim (Raw_buffer.contents buf) ~row_end pos
@@ -73,13 +79,15 @@ let unescape_quotes s =
     go 0;
     Buffer.contents buf)
 
-let field_content_str ~delim s ~row_end pos =
-  let start, stop, next = field_bounds_str ~delim s ~row_end pos in
+let field_text s ~start ~stop ~quoted =
   let len = stop - start in
   Io_stats.add_bytes_read len;
   let raw = String.sub s start len in
-  let content = if start > pos then unescape_quotes raw else raw in
-  (content, next)
+  if quoted then unescape_quotes raw else raw
+
+let field_content_str ~delim s ~row_end pos =
+  let start, stop, next = field_bounds_str ~delim s ~row_end pos in
+  (field_text s ~start ~stop ~quoted:(start > pos), next)
 
 let field_content ~delim buf ~row_end pos =
   field_content_str ~delim (Raw_buffer.contents buf) ~row_end pos

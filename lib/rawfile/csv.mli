@@ -35,6 +35,26 @@ val skip_fields_str : delim:char -> string -> row_end:int -> int -> int -> int
 val field_content_str :
   delim:char -> string -> row_end:int -> int -> string * int
 
+(** {1 Non-allocating cursor}
+
+    The scan core behind the entry points above, for decode loops: it
+    writes the field's content bounds and the next field's offset into a
+    caller-owned cursor instead of returning a tuple, and counts nothing
+    (callers account in bulk). A quoted field's content starts past
+    its opening quote, so [c.start > pos] tells it was quoted. *)
+
+type cursor = { mutable start : int; mutable stop : int; mutable next : int }
+
+val cursor : unit -> cursor
+
+(** [scan_field c ~delim s ~row_end pos] scans the field at [pos] into
+    [c], with the conventions of {!field_bounds}. *)
+val scan_field : cursor -> delim:char -> string -> row_end:int -> int -> unit
+
+(** [field_text s ~start ~stop ~quoted] copies a field's content,
+    unescaping doubled quotes when [quoted], and counts the bytes read. *)
+val field_text : string -> start:int -> stop:int -> quoted:bool -> string
+
 (** [split_line ~delim line] tokenizes a standalone string (header parsing,
     tests). *)
 val split_line : delim:char -> string -> string list

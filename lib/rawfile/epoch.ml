@@ -85,15 +85,17 @@ let probe_now e ~source ~path fp =
   | Delta.Unchanged -> ()
   | delta -> changed ~source delta
 
+(* Scan loops call this per row: the stride counter comes first, and only
+   every [stride]-th call takes the epoch lock to look the pin up. *)
 let check ~source () =
   match current () with
   | None -> ()
   | Some e -> (
-    match find_full e source with
-    | None -> ()
-    | Some (path, fp) ->
-      let n = Atomic.fetch_and_add e.checks 1 in
-      if (n + 1) mod Atomic.get stride = 0 then probe_now e ~source ~path fp)
+    let n = Atomic.fetch_and_add e.checks 1 in
+    if (n + 1) mod Atomic.get stride = 0 then
+      match find_full e source with
+      | None -> ()
+      | Some (path, fp) -> probe_now e ~source ~path fp)
 
 let revalidate ~source () =
   match current () with

@@ -43,7 +43,9 @@ let of_sub s ~size =
 
 let of_contents s = of_sub s ~size:(String.length s)
 
-let of_buffer buf = of_contents (Raw_buffer.slice buf ~pos:0 ~len:(Raw_buffer.length buf))
+(* The three windows are digested straight from the loaded contents: no
+   copy of the file, so a staleness check costs O(1) in file size. *)
+let of_buffer buf = of_contents (Raw_buffer.contents buf)
 
 (* Direct read, bypassing Raw_buffer and Io_stats: validation probes must
    not count as raw-data access or force a buffer reload. *)

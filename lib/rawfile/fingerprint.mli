@@ -29,8 +29,10 @@ val of_contents : string -> t
     fingerprint a file holding exactly that prefix would have. *)
 val of_sub : string -> size:int -> t
 
-(** [of_buffer buf] fingerprints a raw buffer (forces it; counts as a raw
-    read). *)
+(** [of_buffer buf] fingerprints a raw buffer (forces it). The windows
+    are digested in place: nothing is copied and no bytes are counted as
+    read, so the check costs O(1) in file size once the buffer is
+    loaded. *)
 val of_buffer : Raw_buffer.t -> t
 
 (** [probe path] fingerprints a file directly — no {!Io_stats} accounting,

@@ -1,3 +1,5 @@
+open Vida_data
+
 type t = {
   buf : Raw_buffer.t;
   delim : char;
@@ -19,18 +21,19 @@ type t = {
    identical maps and identical structured errors. *)
 
 let collect_newlines s ~source ~lo ~hi ~in_quotes =
-  let acc = ref [] in
+  let acc = Offsets.create () in
+  let poll_source = Some source in
   let q = ref in_quotes in
   for i = lo to hi - 1 do
     match String.unsafe_get s i with
     | '"' -> q := not !q
     | '\n' when not !q ->
-      acc := i :: !acc;
-      Vida_governor.Governor.poll ~source ();
+      Offsets.push acc i;
+      Vida_governor.Governor.poll ?source:poll_source ();
       Epoch.check ~source ()
     | _ -> ()
   done;
-  List.rev !acc
+  Offsets.contents acc
 
 let derive_rows ?(first_start = 0) ~source s len newlines =
   let k = Array.length newlines in
@@ -63,7 +66,7 @@ let scan_rows ?(domains = 1) buf =
   let d = Morsel.domains_for_bytes ~domains len in
   let newlines =
     if d <= 1 then
-      Array.of_list (collect_newlines s ~source ~lo:0 ~hi:len ~in_quotes:false)
+      collect_newlines s ~source ~lo:0 ~hi:len ~in_quotes:false
     else (
       let ranges = Morsel.chunks len d in
       let nchunks = Array.length ranges in
@@ -90,7 +93,7 @@ let scan_rows ?(domains = 1) buf =
       let per_chunk =
         Morsel.run ~domains:d ~tasks:nchunks (fun c ->
             let lo, hi = ranges.(c) in
-            Array.of_list (collect_newlines s ~source ~lo ~hi ~in_quotes:parity.(c)))
+            collect_newlines s ~source ~lo ~hi ~in_quotes:parity.(c))
       in
       Array.concat (Array.to_list per_chunk))
   in
@@ -133,46 +136,141 @@ let anchor t col =
     t.cols;
   !best
 
-(* Fill offset [arrays] (pairs of column index and a full-length array)
-   for rows [row_lo, row_hi) — the shared core of a full [populate] and
-   the tail-only pass of [extend]. *)
-let populate_range t arrays ~row_lo ~row_hi =
-  match arrays with
-  | [] -> ()
-  | _ ->
-    let missing = List.map fst arrays in
-    let max_col = List.fold_left max 0 missing in
-    let anchor_col, anchor_offsets = anchor t (List.fold_left min max_col missing) in
-    let source = Raw_buffer.path t.buf in
-    let s = Raw_buffer.contents t.buf in
-    for row = row_lo to row_hi - 1 do
-      Vida_governor.Governor.poll ~source ();
-      let row_end = t.row_stops.(row) in
-      (* a row too short to reach a column keeps the past-end sentinel, which
-         [field] reads back as the empty field *)
-      List.iter (fun (_, arr) -> arr.(row) <- row_end + 1) arrays;
-      let start_pos =
-        match anchor_offsets with
-        | Some offs -> offs.(row)
-        | None -> t.row_starts.(row)
-      in
-      let pos = ref start_pos and col = ref anchor_col in
-      while !col <= max_col && !pos <= row_end do
-        List.iter (fun (c, arr) -> if c = !col then arr.(row) <- !pos) arrays;
-        if !col < max_col then (
-          let _, _, next = Csv.field_bounds_str ~delim:t.delim s ~row_end !pos in
-          pos := next);
-        incr col
-      done
-    done
+type target = Int_cells | Float_cells | Text_cells
 
-let populate t cols =
-  let missing = List.sort_uniq compare (List.filter (fun c -> not (Hashtbl.mem t.cols c)) cols) in
-  if missing <> [] then (
-    let nrows = row_count t in
-    let arrays = List.map (fun c -> (c, Array.make nrows 0)) missing in
-    populate_range t arrays ~row_lo:0 ~row_hi:nrows;
-    List.iter (fun (c, arr) -> Hashtbl.replace t.cols c arr) arrays)
+(* One walk over rows [row_lo, row_hi) with a non-allocating cursor: the
+   offsets of [cols] (ascending, distinct) are written into [offsets]
+   (one full-length array per column) and, when [cols.(k)] is requested,
+   its cells are decoded into the [builders] of the requests reading it.
+
+   Per row, each column is reached from whichever is closer: the end of
+   the previous column, or the nearest column the map recorded before
+   this walk. A row too short to reach a column keeps the past-end
+   sentinel (read back as the empty field). Int and Float cells take the
+   exact in-place fast path ({!Number}); the rest — quoted, empty under a
+   text target, declined by the fast path — are copied and handed to
+   [fallback] after the walk, in request order: the fast path never
+   fails, so cleaning side effects (quarantine entries, rows marked bad,
+   the first strict error) come in the order a cell-at-a-time decode
+   gives them. *)
+let walk t ~row_lo ~row_hi ~cols ~offsets ~readers ~targets ~builders ~fallback =
+  let ncols = Array.length cols in
+  let nreq = Array.length targets in
+  let source = Raw_buffer.path t.buf in
+  let s = Raw_buffer.contents t.buf in
+  let delim = t.delim in
+  let anchors =
+    Array.map
+      (fun c ->
+        match anchor t c with
+        | ac, Some offs -> (ac, offs)
+        | _, None -> (-1, [||]))
+      cols
+  in
+  let cur = Csv.cursor () in
+  let pending = Array.make nreq false in
+  let p_start = Array.make nreq 0 and p_stop = Array.make nreq 0 in
+  let p_quoted = Array.make nreq false in
+  let tokenized = ref 0 and converted = ref 0 and bytes = ref 0 in
+  let source = Some source in
+  for row = row_lo to row_hi - 1 do
+    Vida_governor.Governor.poll ?source ();
+    let row_end = t.row_stops.(row) in
+    let col = ref 0 and pos = ref t.row_starts.(row) in
+    for k = 0 to ncols - 1 do
+      let c = cols.(k) in
+      let ac, aoffs = anchors.(k) in
+      if ac > !col then (
+        col := ac;
+        pos := aoffs.(row));
+      while !col < c && !pos <= row_end do
+        Csv.scan_field cur ~delim s ~row_end !pos;
+        incr tokenized;
+        pos := cur.Csv.next;
+        incr col
+      done;
+      let present = !col = c && !pos <= row_end in
+      offsets.(k).(row) <- (if present then !pos else row_end + 1);
+      let start = ref 0 and stop = ref 0 and quoted = ref false in
+      if present then (
+        Csv.scan_field cur ~delim s ~row_end !pos;
+        incr tokenized;
+        start := cur.Csv.start;
+        stop := cur.Csv.stop;
+        quoted := cur.Csv.start > !pos;
+        col := c + 1;
+        pos := cur.Csv.next);
+      let start = !start and stop = !stop and quoted = !quoted in
+      let rs = readers.(k) in
+      for r = 0 to Array.length rs - 1 do
+        let j = rs.(r) in
+        let b = builders.(j) in
+        let fast =
+          (not quoted)
+          &&
+          match targets.(j) with
+          | Text_cells -> false
+          | Int_cells | Float_cells when start = stop ->
+            Column.Builder.add_null b;
+            true
+          | Int_cells -> Number.add_int b s ~pos:start ~stop
+          | Float_cells -> Number.add_float b s ~pos:start ~stop
+        in
+        if fast then (
+          if start < stop then incr converted;
+          bytes := !bytes + (stop - start))
+        else (
+          pending.(j) <- true;
+          p_start.(j) <- start;
+          p_stop.(j) <- stop;
+          p_quoted.(j) <- quoted)
+      done
+    done;
+    for j = 0 to nreq - 1 do
+      if pending.(j) then (
+        pending.(j) <- false;
+        let text =
+          Csv.field_text s ~start:p_start.(j) ~stop:p_stop.(j) ~quoted:p_quoted.(j)
+        in
+        Column.Builder.add_value builders.(j) (fallback j row text))
+    done
+  done;
+  Io_stats.add_fields_tokenized !tokenized;
+  Io_stats.add_values_converted !converted;
+  Io_stats.add_bytes_read !bytes
+
+let decode ?rows t requests ~fallback =
+  let nrows = row_count t in
+  let row_lo, row_hi = Option.value rows ~default:(0, nrows) in
+  if row_lo < 0 || row_hi > nrows || row_lo > row_hi then
+    Vida_error.invalid_request ~source:(Raw_buffer.path t.buf)
+      "Positional_map.decode: rows [%d,%d) out of range" row_lo row_hi;
+  let requests = Array.of_list requests in
+  let cols = Array.of_list (List.sort_uniq compare (Array.to_list (Array.map fst requests))) in
+  let readers =
+    Array.map
+      (fun c ->
+        Array.of_list
+          (List.filter
+             (fun j -> fst requests.(j) = c)
+             (List.init (Array.length requests) Fun.id)))
+      cols
+  in
+  (* offsets of columns recorded before are rewritten in place (same
+     values); new columns get arrays published only after a walk over
+     every row, so the map never exposes a half-recorded column *)
+  let full = row_lo = 0 && row_hi = nrows in
+  let fresh = Array.map (fun c -> not (Hashtbl.mem t.cols c)) cols in
+  let offsets =
+    Array.mapi
+      (fun k c -> if fresh.(k) then Array.make nrows 0 else Hashtbl.find t.cols c)
+      cols
+  in
+  let builders = Array.map (fun _ -> Column.Builder.create (row_hi - row_lo)) requests in
+  walk t ~row_lo ~row_hi ~cols ~offsets ~readers ~targets:(Array.map snd requests)
+    ~builders ~fallback;
+  if full then Array.iteri (fun k c -> if fresh.(k) then Hashtbl.replace t.cols c offsets.(k)) cols;
+  Array.map Column.Builder.finish builders
 
 let field t ~row ~col =
   if row < 0 || row >= row_count t then
@@ -222,42 +320,6 @@ let fields t ~row ~cols =
   in
   Array.of_list (List.map (fun c -> Hashtbl.find results c) cols)
 
-let record_while_scanning t ~cols f =
-  let cols_sorted = List.sort_uniq compare cols in
-  populate t cols_sorted;
-  let nrows = row_count t in
-  let source = Raw_buffer.path t.buf in
-  let s = Raw_buffer.contents t.buf in
-  (* hoisted out of the row loop: the offset array per sorted column, the
-     sorted-position of each requested column, and a scratch buffer for
-     the sorted extraction — only the per-row result array the callback
-     receives is freshly allocated *)
-  let offs = Array.of_list (List.map (fun c -> Hashtbl.find t.cols c) cols_sorted) in
-  let nsorted = Array.length offs in
-  let sorted_arr = Array.of_list cols_sorted in
-  let request_idx =
-    Array.of_list
-      (List.map
-         (fun c ->
-           let rec find i = if sorted_arr.(i) = c then i else find (i + 1) in
-           find 0)
-         cols)
-  in
-  let nreq = Array.length request_idx in
-  let scratch = Array.make (max 1 nsorted) "" in
-  for row = 0 to nrows - 1 do
-    Vida_governor.Governor.poll ~source ();
-    let row_end = t.row_stops.(row) in
-    for j = 0 to nsorted - 1 do
-      let pos = offs.(j).(row) in
-      scratch.(j) <-
-        (if pos > row_end then ""
-         else fst (Csv.field_content_str ~delim:t.delim s ~row_end pos))
-    done;
-    let by_request = Array.init nreq (fun r -> scratch.(request_idx.(r))) in
-    f row by_request
-  done
-
 let footprint t =
   let ncols = Hashtbl.length t.cols in
   8 * (Array.length t.row_starts * (2 + ncols))
@@ -282,7 +344,7 @@ let extend t buf =
     let resume = t.row_starts.(keep) in
     Io_stats.add_bytes_read (len - resume);
     let newlines =
-      Array.of_list (collect_newlines s ~source ~lo:resume ~hi:len ~in_quotes:false)
+      collect_newlines s ~source ~lo:resume ~hi:len ~in_quotes:false
     in
     let tail_starts, tail_stops =
       derive_rows ~first_start:resume ~source s len newlines
@@ -294,17 +356,19 @@ let extend t buf =
         cols = Hashtbl.create 16 }
     in
     let nrows' = Array.length row_starts in
-    let arrays =
-      List.map
+    let cols = Array.of_list (populated_columns t) in
+    let offsets =
+      Array.map
         (fun c ->
-          let old = Hashtbl.find t.cols c in
           let arr = Array.make nrows' 0 in
-          Array.blit old 0 arr 0 keep;
-          (c, arr))
-        (populated_columns t)
+          Array.blit (Hashtbl.find t.cols c) 0 arr 0 keep;
+          arr)
+        cols
     in
-    populate_range t' arrays ~row_lo:keep ~row_hi:nrows';
-    List.iter (fun (c, arr) -> Hashtbl.replace t'.cols c arr) arrays;
+    walk t' ~row_lo:keep ~row_hi:nrows' ~cols ~offsets
+      ~readers:(Array.map (fun _ -> [||]) cols) ~targets:[||] ~builders:[||]
+      ~fallback:(fun _ _ _ -> Value.Null);
+    Array.iteri (fun k c -> Hashtbl.replace t'.cols c offsets.(k)) cols;
     t')
 
 (* Structural equality over everything persisted/derived — the

@@ -30,10 +30,6 @@ val delim : t -> char
     (0-based, excluding the header), newline excluded. *)
 val row_bounds : t -> int -> int * int
 
-(** [populate t cols] records positions of [cols] (0-based indices) for all
-    rows in one pass. Idempotent per column. *)
-val populate : t -> int list -> unit
-
 (** [populated_columns t] is the sorted list of recorded column indices.
     Column 0 is implicitly always available (row starts). *)
 val populated_columns : t -> int list
@@ -48,10 +44,31 @@ val field : t -> row:int -> col:int -> string
     runs. *)
 val fields : t -> row:int -> cols:int list -> string array
 
-(** [record_while_scanning t ~cols f] streams every row in file order,
-    calling [f row fields] with the requested columns, and records their
-    positions as a side effect (the NoDB "piggy-backed" build). *)
-val record_while_scanning : t -> cols:int list -> (int -> string array -> unit) -> unit
+(** {1 Decoding}
+
+    How the cells of a requested column are decoded:
+    - [Int_cells] / [Float_cells]: unquoted cells on {!Number}'s exact
+      fast path are decoded in place, straight into an unboxed column;
+      empty cells are NULL; every other cell goes to the fallback;
+    - [Text_cells]: every cell goes to the fallback. *)
+type target = Int_cells | Float_cells | Text_cells
+
+(** [decode ?rows t requests ~fallback] is the CSV decoder: one walk over
+    the rows (all of them, or [rows = (lo, hi)]) with a non-allocating
+    cursor, which records the positions of the requested columns as a
+    side effect (the NoDB "piggy-backed" build — a later probe of these
+    columns, or of columns right of them, starts from the recorded
+    offsets) and returns one column per request, in request order.
+
+    A request is [(column index, target)]. [fallback j row text] converts
+    a cell the fast path declined — its text copied and unquoted, [""]
+    for a row too short to hold the column — for request [j]; it may
+    raise. Per row, fallbacks run after the walk, in request order.
+    Counts the fields tokenized, the values converted on the fast path
+    and the bytes of the cells it decoded. *)
+val decode :
+  ?rows:int * int -> t -> (int * target) list ->
+  fallback:(int -> int -> string -> Vida_data.Value.t) -> Vida_data.Column.t array
 
 (** Approximate memory footprint in bytes, for cache accounting. *)
 val footprint : t -> int
@@ -67,7 +84,7 @@ val footprint : t -> int
     last old row (which may have been partial), old rows and their
     populated column offsets carry over verbatim, and only tail rows are
     tokenized. Produces exactly what [build] over [buf] followed by
-    [populate] of the same columns would. *)
+    [decode] of the same columns would record. *)
 val extend : t -> Raw_buffer.t -> t
 
 (** structural equality over everything derived (rows, header, populated

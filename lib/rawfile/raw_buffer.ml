@@ -16,20 +16,39 @@ let path t = t.path
 let validate_load : (source:string -> string -> unit) ref =
   ref (fun ~source:_ _ -> ())
 
-(* One load attempt; transient failures surface as [Io_failure] so the
-   governed retry loop below can distinguish them from corruption. *)
-let load_once t =
+(* One load attempt of at most [limit] bytes, with the file's size;
+   transient failures surface as [Io_failure] so the governed retry loop
+   below can distinguish them from corruption. *)
+let load_once t ~limit =
   Io_fault.on_load ~source:t.path;
   match open_in_bin t.path with
   | exception Sys_error reason -> Vida_error.io_failure ~source:t.path "%s" reason
   | ic ->
-    let len = in_channel_length ic in
+    let size = in_channel_length ic in
     (try
        Fun.protect
          ~finally:(fun () -> close_in ic)
-         (fun () -> really_input_string ic len)
+         (fun () -> (really_input_string ic (Int.min limit size), size))
      with Sys_error reason | Failure reason ->
        Vida_error.io_failure ~source:t.path "%s" reason)
+
+(* the per-source circuit breaker sheds immediately while open — a
+   hashtable probe instead of a failing load plus backoffs; transient IO
+   errors are retried with bounded exponential backoff under the ambient
+   governor session; persistent ones keep their structured [Io_failure]
+   and count against the breaker (one failure per exhausted retry loop,
+   not per attempt) *)
+let read t ~limit =
+  Vida_governor.Governor.Breaker.check ~source:t.path;
+  let r =
+    try
+      Vida_governor.Governor.with_retries ~source:t.path (fun () -> load_once t ~limit)
+    with Vida_error.Error (Vida_error.Io_failure { reason; _ }) as e ->
+      Vida_governor.Governor.Breaker.failure ~source:t.path ~reason;
+      raise e
+  in
+  Vida_governor.Governor.Breaker.success ~source:t.path;
+  r
 
 let force t =
   match t.contents with
@@ -39,23 +58,7 @@ let force t =
       match t.backing with
       | Memory s -> s
       | File ->
-        (* the per-source circuit breaker sheds immediately while open —
-           a hashtable probe instead of a failing load plus backoffs *)
-        Vida_governor.Governor.Breaker.check ~source:t.path;
-        (* transient IO errors are retried with bounded exponential
-           backoff under the ambient governor session; persistent ones
-           keep their structured [Io_failure] and count against the
-           breaker (one failure per exhausted retry loop, not per
-           attempt) *)
-        let s =
-          try
-            Vida_governor.Governor.with_retries ~source:t.path (fun () ->
-                load_once t)
-          with Vida_error.Error (Vida_error.Io_failure { reason; _ }) as e ->
-            Vida_governor.Governor.Breaker.failure ~source:t.path ~reason;
-            raise e
-        in
-        Vida_governor.Governor.Breaker.success ~source:t.path;
+        let s, _ = read t ~limit:max_int in
         (* a load (or reload) mid-query must not hand the query a newer
            generation than the one it pinned at start *)
         !validate_load ~source:t.path s;
@@ -64,6 +67,15 @@ let force t =
     Io_stats.add_file_loads 1;
     t.contents <- Some s;
     s
+
+let prefix t len =
+  match t.contents, t.backing with
+  | Some s, _ | None, Memory s ->
+    let n = Int.min len (String.length s) in
+    (String.sub s 0 n, n = String.length s)
+  | None, File ->
+    let s, size = read t ~limit:len in
+    (s, String.length s = size)
 
 let length t = String.length (force t)
 

@@ -37,6 +37,11 @@ val length : t -> int
     @raise Vida_error.Error ([Io_failure]) if the file cannot be read. *)
 val contents : t -> string
 
+(** [prefix t len] is the first [len] bytes (fewer at end of file) and
+    whether they are the whole file — read without loading the file when
+    it is not loaded yet (registration samples a file this way). *)
+val prefix : t -> int -> string * bool
+
 (** [slice t ~pos ~len] copies bytes out of the view. Counts toward
     [bytes_read].
     @raise Vida_error.Error ([Truncated]) if out of range. *)

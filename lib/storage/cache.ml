@@ -1,7 +1,7 @@
 open Vida_data
 
 type payload =
-  | Values of Value.t array
+  | Column of Column.t
   | Strings of string array
   | Ranges of (int * int) array
 
@@ -77,7 +77,10 @@ let rec value_bytes (v : Value.t) =
     Array.fold_left (fun acc v -> acc + 8 + value_bytes v) 32 data
 
 let payload_bytes = function
-  | Values vs -> Array.fold_left (fun acc v -> acc + 8 + value_bytes v) 16 vs
+  | Column (Column.Boxed vs) -> Array.fold_left (fun acc v -> acc + 8 + value_bytes v) 16 vs
+  | Column (Column.Floats (_, mask) | Column.Ints (_, mask) as c) ->
+    let n = Column.length c in
+    32 + (8 * n) + (match mask with Some _ -> n | None -> 0)
   | Strings ss -> Array.fold_left (fun acc s -> acc + 24 + String.length s) 16 ss
   | Ranges rs -> 16 + (16 * Array.length rs)
 

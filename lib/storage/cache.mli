@@ -9,7 +9,8 @@
     ~80%-served-from-cache claim). *)
 
 type payload =
-  | Values of Vida_data.Value.t array  (** decoded column / object array *)
+  | Column of Vida_data.Column.t
+      (** decoded column: unboxed when its values are uniformly numeric *)
   | Strings of string array  (** raw text or VBSON per item *)
   | Ranges of (int * int) array  (** positions into the raw file *)
 

@@ -391,7 +391,10 @@ let test_posmap_sidecar_roundtrip () =
   let path = tmp_file contents in
   let buf = Vida_raw.Raw_buffer.of_path path in
   let pm = Vida_raw.Positional_map.build buf in
-  Vida_raw.Positional_map.populate pm [ 1; 2 ];
+  ignore
+    (Vida_raw.Positional_map.decode pm
+       [ (1, Vida_raw.Positional_map.Int_cells); (2, Vida_raw.Positional_map.Int_cells) ]
+       ~fallback:(fun _ _ _ -> Value.Null));
   let sidecar = path ^ ".vidx" in
   Vida_raw.Positional_map.save pm ~path:sidecar;
   (match Vida_raw.Positional_map.load buf ~path:sidecar with

@@ -105,7 +105,9 @@ let test_budget_exceeded_on_join () =
 (* Cache admissions degrade gracefully under a budget — own-LRU eviction,
    then refusal — and must never serve stale data afterwards. *)
 let test_budget_cache_eviction_never_stale () =
-  let path = tmp_csv ~rows:200 () in
+  (* 600 rows make an unboxed column (8 bytes a row) a little larger
+     than the budget, as 200 boxed rows did *)
+  let path = tmp_csv ~rows:600 () in
   (* big enough to admit single columns, too small to keep them all *)
   let limits = { G.unlimited with G.memory_budget = Some 4096 } in
   let db = mk_db ~limits path in
@@ -114,7 +116,7 @@ let test_budget_cache_eviction_never_stale () =
   let q_cnt = "for { p <- P, p.age > 40 } yield count p" in
   (* several queries over different columns force admissions past the
      budget; results must stay correct throughout *)
-  check_int "sum ids" (200 * 201 / 2) (Value.to_int (value_of db q_sum));
+  check_int "sum ids" (600 * 601 / 2) (Value.to_int (value_of db q_sum));
   ignore (value_of db q_avg);
   ignore (value_of db q_cnt);
   ignore (value_of db q_sum);

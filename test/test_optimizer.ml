@@ -106,7 +106,9 @@ let test_cost_posmap_awareness () =
   (* populate positional map for the column without caching decoded values *)
   let source = Option.get (Registry.find ctx.Plugins.registry "Big") in
   let pm = Structures.posmap ctx.Plugins.structures source in
-  Vida_raw.Positional_map.populate pm [ 0 ];
+  ignore
+    (Vida_raw.Positional_map.decode pm [ (0, Vida_raw.Positional_map.Text_cells) ]
+       ~fallback:(fun _ _ _ -> Value.Null));
   let mapped = Cost.attribute_cost ctx ~source:"Big" ~field:"id" in
   check_bool "mapped cost" true (mapped = Cost.csv_mapped);
   check_bool "unmapped col still cold" true

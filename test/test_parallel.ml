@@ -292,7 +292,7 @@ let test_cache_stats_concurrent () =
   let module C = Vida_storage.Cache in
   let cache = C.create ~capacity_bytes:(1 lsl 20) () in
   let key i = { C.source = "s"; item = Printf.sprintf "col%d" (i mod 16); layout = Vida_storage.Layout.Values } in
-  let payload = C.Values (Array.init 32 (fun j -> Value.Int j)) in
+  let payload = C.Column (Column.of_values (Array.init 32 (fun j -> Value.Int j))) in
   let tasks = 8 and per_task = 200 in
   let _ =
     Morsel.run ~domains:4 ~tasks (fun t ->

@@ -133,13 +133,20 @@ let test_posmap_field_access () =
   check_string "row2 col2" "30" (Positional_map.field pm ~row:2 ~col:2);
   check_string "row1 col0" "2" (Positional_map.field pm ~row:1 ~col:0)
 
+(* record the positions of [cols], decoding their cells as text *)
+let record pm cols =
+  ignore
+    (Positional_map.decode pm
+       (List.map (fun c -> (c, Positional_map.Text_cells)) cols)
+       ~fallback:(fun _ _ _ -> Value.Null))
+
 let test_posmap_populate_cuts_tokenization () =
   let pm = Positional_map.build (buf_of sample_csv) in
   (* unpopulated: reaching col 2 tokenizes cols 0 and 1 first *)
   Io_stats.reset ();
   ignore (Positional_map.field pm ~row:0 ~col:2);
   let cold = (Io_stats.current ()).Io_stats.fields_tokenized in
-  Positional_map.populate pm [ 2 ];
+  record pm [ 2 ];
   Io_stats.reset ();
   ignore (Positional_map.field pm ~row:0 ~col:2);
   let hot = (Io_stats.current ()).Io_stats.fields_tokenized in
@@ -150,7 +157,7 @@ let test_posmap_populate_cuts_tokenization () =
 
 let test_posmap_anchor_navigation () =
   let pm = Positional_map.build (buf_of "a,b,c,d,e\n1,2,3,4,5\n") in
-  Positional_map.populate pm [ 2 ];
+  record pm [ 2 ];
   (* col 3 should anchor at recorded col 2, tokenizing a single hop *)
   Io_stats.reset ();
   check_string "col 3 via anchor" "4" (Positional_map.field pm ~row:0 ~col:3);
@@ -168,14 +175,17 @@ let test_posmap_short_rows () =
   check_int "rows" 2 (Positional_map.row_count pm);
   check_string "present" "4" (Positional_map.field pm ~row:1 ~col:0);
   check_string "missing is empty" "" (Positional_map.field pm ~row:1 ~col:2);
-  Positional_map.populate pm [ 2 ];
+  record pm [ 2 ];
   check_string "missing after populate" "" (Positional_map.field pm ~row:1 ~col:2)
 
 let test_posmap_record_while_scanning () =
   let pm = Positional_map.build (buf_of sample_csv) in
   let seen = ref [] in
-  Positional_map.record_while_scanning pm ~cols:[ 1 ] (fun row fields ->
-      seen := (row, fields.(0)) :: !seen);
+  ignore
+    (Positional_map.decode pm [ (1, Positional_map.Text_cells) ] ~fallback:(fun j row text ->
+         check_int "request index" 0 j;
+         seen := (row, text) :: !seen;
+         Value.String text));
   Alcotest.(check (list (pair int string))) "scanned"
     [ (0, "ada"); (1, "bob"); (2, "cyd") ]
     (List.rev !seen);
@@ -281,10 +291,13 @@ let test_json_skip_value () =
 
 let test_json_scan_fields () =
   let s = {|{"a": 1, "b": [1,2], "c": "x,y"}|} in
-  let fields = Json.scan_fields s ~pos:0 ~len:(String.length s) in
-  Alcotest.(check (list string)) "names" [ "a"; "b"; "c" ] (List.map fst fields);
-  let b_pos, b_len = List.assoc "b" fields in
-  check_string "b range" "[1,2]" (String.sub s b_pos b_len)
+  let names = [| "c"; "a"; "z"; "b" |] in
+  let starts = Array.make 4 0 and stops = Array.make 4 0 in
+  Json.find_fields s ~pos:0 ~lim:(String.length s) names starts stops;
+  Alcotest.(check (list string)) "names" [ "c"; "a"; "b" ]
+    (List.filteri (fun j _ -> starts.(j) >= 0) (Array.to_list names));
+  check_string "b range" "[1,2]" (String.sub s starts.(3) (stops.(3) - starts.(3)));
+  check_string "c range" {|"x,y"|} (String.sub s starts.(0) (stops.(0) - starts.(0)))
 
 (* --- Semi-index --- *)
 

@@ -183,7 +183,7 @@ let test_layout_names () =
 
 let key source item layout = { Cache.source; item; layout }
 
-let col n = Cache.Values (Array.init n (fun i -> Value.Int i))
+let col n = Cache.Column (Column.of_values (Array.init n (fun i -> Value.Int i)))
 
 let test_cache_hit_miss () =
   let c = Cache.create () in
@@ -191,7 +191,7 @@ let test_cache_hit_miss () =
   check_bool "miss" true (Cache.find c k = None);
   check_bool "put" true (Cache.put c k (col 10));
   (match Cache.find c k with
-  | Some (Cache.Values vs) -> check_int "payload" 10 (Array.length vs)
+  | Some (Cache.Column c) -> check_int "payload" 10 (Column.length c)
   | _ -> Alcotest.fail "expected values payload");
   let s = Cache.stats c in
   check_int "hits" 1 s.Cache.hits;
@@ -248,7 +248,7 @@ let test_cache_replace_same_key () =
   ignore (Cache.put c k (col 7));
   check_int "single entry" 1 (Cache.stats c).Cache.entries;
   match Cache.find c k with
-  | Some (Cache.Values vs) -> check_int "latest payload" 7 (Array.length vs)
+  | Some (Cache.Column c) -> check_int "latest payload" 7 (Column.length c)
   | _ -> Alcotest.fail "expected values"
 
 let prop_cache_respects_capacity =

@@ -137,15 +137,19 @@ let test_tsv_and_crlf () =
     (Vida.query_value db "for { t <- T, t.id = 2 } yield max t.name")
 
 let test_eviction_under_pressure () =
-  (* a cache too small for all columns: still correct, with evictions *)
-  let rows = List.init 400 (fun i -> Printf.sprintf "%d,%d,%d,%d" i (i*2) (i*3) (i*5)) in
+  (* a cache too small for all columns: still correct, with evictions.
+     An unboxed int column takes 8 bytes a row, so 1200 rows make each
+     column ~9.6 kB: two fit in the cache, the third evicts *)
+  let n = 1200 in
+  let rows = List.init n (fun i -> Printf.sprintf "%d,%d,%d,%d" i (i*2) (i*3) (i*5)) in
   let path = tmp_file ("a,b,c,d\n" ^ String.concat "\n" rows ^ "\n") in
   let db = Vida.create ~cache_capacity:20_000 () in
   Vida.csv db ~name:"W" ~path ();
-  check_value "col a" (Value.Int (399*400/2)) (Vida.query_value db "for { w <- W } yield sum w.a");
-  check_value "col b" (Value.Int (399*400)) (Vida.query_value db "for { w <- W } yield sum w.b");
-  check_value "col c" (Value.Int (3*399*400/2)) (Vida.query_value db "for { w <- W } yield sum w.c");
-  check_value "col a again" (Value.Int (399*400/2)) (Vida.query_value db "for { w <- W } yield sum w.a");
+  let tri = (n - 1) * n / 2 in
+  check_value "col a" (Value.Int tri) (Vida.query_value db "for { w <- W } yield sum w.a");
+  check_value "col b" (Value.Int (2 * tri)) (Vida.query_value db "for { w <- W } yield sum w.b");
+  check_value "col c" (Value.Int (3 * tri)) (Vida.query_value db "for { w <- W } yield sum w.c");
+  check_value "col a again" (Value.Int tri) (Vida.query_value db "for { w <- W } yield sum w.a");
   let s = Vida.stats db in
   check_bool "evictions happened" true (s.Vida.cache.Vida_storage.Cache.evictions > 0)
 
