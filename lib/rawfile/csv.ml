@@ -52,13 +52,14 @@ let field_bounds ~delim buf ~row_end pos =
   field_bounds_str ~delim (Raw_buffer.contents buf) ~row_end pos
 
 let skip_fields_str ~delim s ~row_end pos n =
-  let rec go pos n =
-    if n = 0 then pos
-    else
-      let _, _, next = field_bounds_str ~delim s ~row_end pos in
-      go next (n - 1)
-  in
-  go pos n
+  let c = cursor () in
+  let pos = ref pos in
+  for _ = 1 to n do
+    scan_field c ~delim s ~row_end !pos;
+    pos := c.next
+  done;
+  Io_stats.add_fields_tokenized (Int.max n 0);
+  !pos
 
 let skip_fields ~delim buf ~row_end pos n =
   skip_fields_str ~delim (Raw_buffer.contents buf) ~row_end pos n
