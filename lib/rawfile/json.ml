@@ -9,10 +9,8 @@ let is_ws = function ' ' | '\t' | '\n' | '\r' -> true | _ -> false
 (* Every scanner below reads [s] up to an exclusive bound [lim] instead of
    its length, so a value can be parsed in place inside the whole file
    without copying its bytes out first, and still sees exactly the bytes
-   a copy would hold. *)
-
-(* Internal scanners take [0 <= pos] and [lim <= String.length s] (the
-   entry points check both) and read with [String.unsafe_get] below
+   a copy would hold. They take [0 <= pos] and [lim <= String.length s]
+   (the entry points check both) and read with [String.unsafe_get] below
    [lim]. *)
 let in_range s pos =
   if pos < 0 || pos > String.length s then invalid_arg "Json: offset out of range"
@@ -103,15 +101,12 @@ let parse_number ~source s lim pos =
 let rec literal_at s pos lit i =
   i = String.length lit || (s.[pos + i] = lit.[i] && literal_at s pos lit (i + 1))
 
-let expect ~source s lim pos lit v =
-  let n = String.length lit in
-  if pos + n <= lim && literal_at s pos lit 0 then (v, pos + n)
-  else error ~source pos "expected %s" lit
-
 let skip_literal ~source s lim pos lit =
   let n = String.length lit in
   if pos + n <= lim && literal_at s pos lit 0 then pos + n
   else error ~source pos "expected %s" lit
+
+let expect ~source s lim pos lit v = (v, skip_literal ~source s lim pos lit)
 
 let rec parse_value ~source ~depth s lim pos =
   Vida_error.Limits.check_nesting ~source ~offset:pos depth;
