@@ -26,8 +26,8 @@
 
     Kernel-safety obligations over the vectorized rung ([P08]-[P10]) are
     catalogued here but discharged {e dynamically}: {!Kernel} provides
-    the pure checks, and the engine runs them on every
-    [fold_chain_vectorized] dispatch when the concurrency sanitizer
+    the pure checks, and the engine runs them on every vectorized
+    dispatch when the concurrency sanitizer
     ([Vida_sync], [VIDA_SANITIZE]) is active. Failures surface as
     ["kernel-obligation"] sync findings.
     - [P08] {e selection-vector-integrity} (error) — each batch's

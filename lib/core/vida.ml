@@ -536,53 +536,22 @@ and run_pinned ~engine ~optimize ~reuse ~domains ~note_plan ~session ~epochs t
             from_result_cache = true; plan_from_cache;
             governor = Governor.report session; epochs }
       | None -> (
-      let run_generic () = (Interp.query ctx plan) () in
-      (* degradation ladder, rung 1: a JIT code-generation or execution
-         failure demotes the query to the Generic engine instead of failing
-         it outright (the two engines are semantically equivalent).
-         Governor violations — deadline, budget, cancellation — and
-         structured data errors are NOT engine bugs and propagate. *)
-      let degrade reason =
-        Governor.note_fallback ~session ~stage:"jit->generic" ~reason ();
-        run_generic ()
+      let generic () = Interp.query ctx plan () in
+      let parallel () =
+        match
+          Parallel.with_checker
+            (firing_check t ~env:venv "parallel")
+            (fun () -> Parallel.try_query ctx plan)
+        with
+        | Some value -> `Ran value
+        | None -> `Silent
       in
+      (* the degradation ladder (DESIGN.md §7) *)
       let run () =
         match engine with
-        | Generic -> run_generic ()
-        | Jit -> (
-          match Governor.Chaos.take_jit_failure () with
-          | Some reason -> degrade reason
-          | None -> (
-            let run_sequential () =
-              match (Compile.query ctx plan) () with
-              | value -> value
-              | exception Plugins.Engine_error msg -> degrade msg
-              | exception Eval.Error msg -> degrade msg
-              | exception Value.Type_error msg -> degrade msg
-              | exception Invalid_argument msg -> degrade msg
-            in
-            (* degradation ladder, rung 0: with a domain budget > 1, try
-               the morsel-parallel engine; a decline (unsupported shape)
-               or an engine failure falls back to the sequential JIT.
-               Governor violations and structured data errors propagate
-               from workers exactly as from the sequential path. *)
-            if ctx.Plugins.domains > 1 then
-              match
-                Parallel.with_checker
-                  (firing_check t ~env:venv "parallel")
-                  (fun () -> Parallel.try_query ctx plan)
-              with
-              | Some value -> value
-              | None -> run_sequential ()
-              | exception
-                  ( Plugins.Engine_error msg
-                  | Eval.Error msg
-                  | Value.Type_error msg
-                  | Invalid_argument msg ) ->
-                Governor.note_fallback ~session ~stage:"parallel->sequential"
-                  ~reason:msg ();
-                run_sequential ()
-            else run_sequential ()))
+        | Generic -> generic ()
+        | Jit ->
+          Ladder.jit ~parallel ~compiled:(fun () -> Compile.query ctx plan ()) ~generic
       in
       let t1 = now_ms () in
       let io_before = Vida_raw.Io_stats.current () in
@@ -618,9 +587,8 @@ and run_pinned ~engine ~optimize ~reuse ~domains ~note_plan ~session ~epochs t
           { value; plan; compile_ms = t1 -. t0; exec_ms = t2 -. t1; raw_io;
             served_from_cache; from_result_cache = false; plan_from_cache;
             governor = Governor.report session; epochs }
-      | exception Plugins.Engine_error msg -> Error (Engine_error msg)
-      | exception Eval.Error msg -> Error (Engine_error msg)
-      | exception Value.Type_error msg -> Error (Engine_error msg))
+      | exception e when Option.is_some (Ladder.engine_failure e) ->
+        Error (Engine_error (Option.get (Ladder.engine_failure e))))
     with Vida_error.Error e ->
       (* structured data-layer failure anywhere in the pipeline — stale
          sidecar handling, corrupt raw bytes under a Strict policy,

@@ -66,12 +66,14 @@ val domains : t -> int
 
 (** {1 Vectorized execution}
 
-    Process-global knobs of the vectorized batch engine (the
-    vectorized→closure→generic degradation ladder's top rung); see
+    Process-global knobs of the vectorized batch engine, the rung between
+    parallel and closure on the degradation ladder (DESIGN.md §7); see
     {!Vida_engine.Vector}. [set_batch_rows] sets the morsel-local batch
     stride (floored at 1; the [VIDA_BATCH_ROWS] environment variable sets
-    the initial value); [set_vectorized false] disables the rung entirely
-    ([VIDA_VECTOR=0] does the same at startup). *)
+    the initial value); [set_vectorized false] silences the rung at every
+    domain count: queries run on the closure engine (or the row-morsel
+    fold) and no fallback is recorded ([VIDA_VECTOR=0] does the same at
+    startup). *)
 
 val set_batch_rows : int -> unit
 val batch_rows : unit -> int

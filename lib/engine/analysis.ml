@@ -123,3 +123,36 @@ let split_equi ~left ~right pred =
       Some (List.fold_left (fun acc c -> Expr.BinOp (Expr.And, acc, c)) first rest)
   in
   (List.rev !keys, residual)
+
+type step = Filter of Expr.t | Bind of string * Expr.t
+
+let rec peel (p : Plan.t) steps =
+  match p with
+  | Plan.Select { pred; child } -> peel child (Filter pred :: steps)
+  | Plan.Map { var; expr; child } -> peel child (Bind (var, expr) :: steps)
+  | core -> (core, steps)
+
+let chain p =
+  match peel p [] with
+  | Plan.Source { var; expr = Expr.Var name }, steps -> Some (var, name, steps)
+  | _ -> None
+
+(* [count v] over a generator variable counts one per row: generator
+   bindings are records, never [Null], so count's NULL-skipping cannot
+   fire and the head folds to a constant. Map-bound variables can be
+   [Null] and keep their head. *)
+let neutralize_count_head (p : Plan.t) =
+  let rec source_vars (p : Plan.t) acc =
+    match p with
+    | Plan.Source { var; _ } -> var :: acc
+    | Plan.Select { child; _ } | Plan.Map { child; _ } -> source_vars child acc
+    | Plan.Join { left; right; _ } | Plan.Product { left; right } ->
+      source_vars left (source_vars right acc)
+    | _ -> acc
+  in
+  match p with
+  | Plan.Reduce
+      { monoid = Monoid.Prim Monoid.Count as monoid; head = Expr.Var v; child }
+    when List.mem v (source_vars child []) ->
+    Plan.Reduce { monoid; head = Expr.Const (Vida_data.Value.Int 0); child }
+  | p -> p

@@ -36,3 +36,21 @@ val range_of :
 val split_equi :
   left:string list -> right:string list -> Vida_calculus.Expr.t ->
   (Vida_calculus.Expr.t * Vida_calculus.Expr.t) list * Vida_calculus.Expr.t option
+
+(** One operator of a Select*/Map* chain, in execution order. *)
+type step =
+  | Filter of Vida_calculus.Expr.t
+  | Bind of string * Vida_calculus.Expr.t
+
+(** [peel p []] strips the Select/Map operators above [p]'s first other
+    operator, returning that core and the stripped steps innermost first. *)
+val peel : Vida_algebra.Plan.t -> step list -> Vida_algebra.Plan.t * step list
+
+(** [chain p] — [Some (var, source, steps)] when [p] is a Select*/Map*
+    chain over one registry source bound to [var]. *)
+val chain : Vida_algebra.Plan.t -> (string * string * step list) option
+
+(** [neutralize_count_head p] rewrites [Reduce (count, v, child)], [v] a
+    generator variable of [child], to count a constant: one per row, with
+    no field of [v] demanded. Any other plan is returned as is. *)
+val neutralize_count_head : Vida_algebra.Plan.t -> Vida_algebra.Plan.t

@@ -452,33 +452,12 @@ and compile_ops ctx slots needs flushes env (p : Plan.t) (consume : unit -> unit
           consume ())
         (List.rev !order)
 
-(* Degradation ladder, vectorized rung (ISSUE 8): plans matching the
-   vectorized fragment run as fused batch kernels; a static decline or a
-   runtime [Not_vectorizable] (columns turn out untypeable, no columnar
-   view under the active cleaning policy) is recorded as the
-   ["vectorized->closure"] fallback and the closure engine takes over.
-   Plans outside the fragment ([`Silent]) go straight to the closure
-   engine — that is their designed path, not a degradation. *)
+(* The compiled tier of the degradation ladder: the vectorized rung, then
+   the closure engine, compiled on first need and reused by later runs. *)
 let query ctx plan =
-  let closure () =
-    let run = compile_query ctx ~outer_slots:[] plan in
-    fun () -> run (fun _ -> ())
-  in
-  match Vector.compile ctx plan with
-  | `Silent -> closure ()
-  | `Decline reason ->
-    let run = closure () in
-    fun () ->
-      Governor.note_fallback ~stage:"vectorized->closure" ~reason ();
-      run ()
-  | `Run vrun ->
-    let fallback = lazy (closure ()) in
-    fun () -> (
-      match vrun () with
-      | v -> v
-      | exception Vector.Not_vectorizable reason ->
-        Vector.note_fallback_stats reason;
-        Governor.note_fallback ~stage:"vectorized->closure" ~reason ();
-        (Lazy.force fallback) ())
+  let closure = lazy (compile_query ctx ~outer_slots:[] plan) in
+  let vectorized = Ladder.vectorized ctx plan Vector.Fetch (Vector.run ctx) in
+  fun () ->
+    Ladder.run [ vectorized ] ~last:(fun () -> Lazy.force closure (fun _ -> ()))
 
 let scalar ctx ~slots e = compile_scalar ctx slots e

@@ -71,16 +71,7 @@ let with_checker f body =
   checker := f;
   Fun.protect ~finally:(fun () -> checker := saved) body
 
-type step = Filter of Expr.t | Bind of string * Expr.t
-
-(* Decompose Select*/Map* over a single Source; returns the source var and
-   name plus the operator steps in execution order (innermost first). *)
-let rec decompose (p : Plan.t) steps =
-  match p with
-  | Plan.Select { pred; child } -> decompose child (Filter pred :: steps)
-  | Plan.Map { var; expr; child } -> decompose child (Bind (var, expr) :: steps)
-  | Plan.Source { var; expr = Expr.Var name } -> Some (var, name, steps)
-  | _ -> None
+type step = Analysis.step = Filter of Expr.t | Bind of string * Expr.t
 
 let chain_vars var steps =
   var :: List.filter_map (function Bind (v, _) -> Some v | Filter _ -> None) steps
@@ -148,8 +139,11 @@ let plan_of_chain (c : chain) =
     (Plan.Source { var = c.var; expr = Expr.Var c.name })
     c.steps
 
+(* A resolved chain records its source's cardinality, the value the
+   closure scan records, so the optimizer's statistics do not depend on
+   the domain budget. *)
 let resolve_chain ctx ?whole plan (p : Plan.t) =
-  match decompose p [] with
+  match Analysis.chain p with
   | None -> None
   | Some (var, name, steps) -> (
     match Registry.find ctx.Plugins.registry name with
@@ -166,6 +160,10 @@ let resolve_chain ctx ?whole plan (p : Plan.t) =
           match Plugins.column_arrays ctx source ~fields with
           | None -> None
           | Some (n, columns) ->
+            if n > 0 then
+              Feedback.record ctx.Plugins.feedback
+                ~key:(Feedback.cardinality_key name)
+                ~observed:(float_of_int n);
             Some { var; name; steps; n; columns = Array.of_list columns })))
 
 (* Per-task compiled pipeline for one chain: applies steps to the row
@@ -222,46 +220,27 @@ let merge_partials monoid partials =
    calling domain (typing the promoted columns); each worker instantiates
    its own scratch and folds its ranges batch-at-a-time. Partials are the
    same pre-finalize accumulator carriers the tuple path produces, so
-   {!merge_partials} is unchanged. A kernel that cannot be built (untyped
-   columns, unsupported expression) records the vectorized->closure rung
-   and the tuple-at-a-time loop below takes over. *)
-let fold_chain_vectorized ctx ~domains ~monoid ~head (c : chain) =
-  let steps =
-    List.map
-      (function
-        | Filter pred -> Vector.VFilter pred
-        | Bind (v, e) -> Vector.VBind (v, e))
-      c.steps
+   {!merge_partials} is unchanged. *)
+let fold_kernel ctx ~domains ~monoid (c : chain) kernel =
+  (* P10: discharge the merge-order obligation explicitly on every
+     vectorized dispatch when the sanitizer is active. The indexed fold
+     in [merge_partials] is an [`Ordered] merge; a future scheduler
+     that reordered partials would fail here before returning rows. *)
+  if Vida_sync.enabled () then begin
+    Vida_sync.note_kernel_check ();
+    match Vida_analysis.Kernel.check_merge_order monoid ~strategy:`Ordered with
+    | Some reason -> Vida_sync.kernel_failed ~id:"P10" ~subject:c.name "%s" reason
+    | None -> ()
+  end;
+  let ranges = morsel_ranges c.n domains in
+  let partials =
+    Morsel.run ~domains ~tasks:(Array.length ranges) (fun t ->
+        let inst = Vector.instantiate kernel in
+        let lo, hi = ranges.(t) in
+        Vector.run_range inst ~lo ~hi)
   in
-  match
-    Vector.compile_chain ctx ~name:c.name ~var:c.var ~columns:c.columns
-      ~nrows:c.n ~steps ~monoid ~head
-  with
-  | Error reason ->
-    Vector.note_fallback_stats reason;
-    Governor.note_fallback ~stage:"vectorized->closure" ~reason ();
-    None
-  | Ok kernel ->
-    (* P10: discharge the merge-order obligation explicitly on every
-       vectorized dispatch when the sanitizer is active. The indexed fold
-       in [merge_partials] is an [`Ordered] merge; a future scheduler
-       that reordered partials would fail here before returning rows. *)
-    if Vida_sync.enabled () then begin
-      Vida_sync.note_kernel_check ();
-      match Vida_analysis.Kernel.check_merge_order monoid ~strategy:`Ordered with
-      | Some reason ->
-        Vida_sync.kernel_failed ~id:"P10" ~subject:c.name "%s" reason
-      | None -> ()
-    end;
-    let ranges = morsel_ranges c.n domains in
-    let partials =
-      Morsel.run ~domains ~tasks:(Array.length ranges) (fun t ->
-          let inst = Vector.instantiate kernel in
-          let lo, hi = ranges.(t) in
-          Vector.run_range inst ~lo ~hi)
-    in
-    Vector.flush_feedback ctx kernel;
-    Some (Monoid.finalize monoid (merge_partials monoid partials))
+  Vector.flush_feedback ctx kernel;
+  Monoid.finalize monoid (merge_partials monoid partials)
 
 let fold_chain_rows ctx ~domains ~monoid ~head (c : chain) =
   let vars = chain_vars c.var c.steps in
@@ -287,10 +266,12 @@ let fold_chain_rows ctx ~domains ~monoid ~head (c : chain) =
      what makes non-commutative monoids (list/array concat) correct *)
   Monoid.finalize monoid (merge_partials monoid partials)
 
-let fold_chain ctx ~domains ~monoid ~head (c : chain) =
-  match fold_chain_vectorized ctx ~domains ~monoid ~head c with
-  | Some v -> v
-  | None -> fold_chain_rows ctx ~domains ~monoid ~head c
+let fold_chain ctx ~domains ~monoid ~head plan (c : chain) =
+  Ladder.run
+    [ Ladder.vectorized ctx plan
+        (Vector.Given (c.n, c.columns))
+        (fold_kernel ctx ~domains ~monoid c) ]
+    ~last:(fun () -> fold_chain_rows ctx ~domains ~monoid ~head c)
 
 (* --- bare chain: parallel filtered/projected materialization --------- *)
 
@@ -442,15 +423,6 @@ let join_reduce ctx ~domains ~monoid ~head ~pred ~post (lc : chain) (rc : chain)
 
 (* --- entry point ------------------------------------------------------ *)
 
-(* Peel Select/Map operators above a join/product core, in execution
-   order (innermost first) — the translator leaves join predicates as
-   Selects above a Product. *)
-let rec strip_ops (p : Plan.t) acc =
-  match p with
-  | Plan.Select { pred; child } -> strip_ops child (Filter pred :: acc)
-  | Plan.Map { var; expr; child } -> strip_ops child (Bind (var, expr) :: acc)
-  | core -> (core, acc)
-
 let conj = function
   | [] -> None
   | p :: ps ->
@@ -515,34 +487,14 @@ let try_query ctx ?domains (plan : Plan.t) : Value.t option =
   in
   if budget <= 1 then None
   else
-    match plan with
-    | Plan.Reduce { monoid; head; child } -> (
-      (* [count v] where [v] is a generator variable counts one per row —
-         generator bindings are records, never [Null], so count's
-         NULL-skipping cannot fire. Neutralizing the head before needs
-         analysis keeps [count r] over a hierarchical source from
-         demanding whole objects. (Map-bound vars can be [Null] and must
-         keep their head: sequential count skips them.) *)
-      let rec source_vars p acc =
-        match p with
-        | Plan.Source { var; _ } -> var :: acc
-        | Plan.Select { child; _ } | Plan.Map { child; _ } ->
-          source_vars child acc
-        | Plan.Join { left; right; _ } | Plan.Product { left; right } ->
-          source_vars left (source_vars right acc)
-        | _ -> acc
-      in
-      let head, plan =
-        match (monoid, head) with
-        | Monoid.Prim Monoid.Count, Expr.Var v
-          when List.mem v (source_vars child []) ->
-          let h = Expr.Const (Value.Int 0) in
-          let plan' = Plan.Reduce { monoid; head = h; child } in
-          !checker ~rule:"parallel-neutralize-count-head" ~before:plan
-            ~after:plan';
-          (h, plan')
-        | _ -> (head, plan)
-      in
+    (* neutralizing a count head before needs analysis keeps [count r]
+       over a hierarchical source from demanding whole objects *)
+    match Analysis.neutralize_count_head plan with
+    | Plan.Reduce { monoid; head; child } as neutral -> (
+      if neutral != plan then
+        !checker ~rule:"parallel-neutralize-count-head" ~before:plan
+          ~after:neutral;
+      let plan = neutral in
       match resolve_chain ctx plan child with
       | Some c ->
         if
@@ -554,9 +506,9 @@ let try_query ctx ?domains (plan : Plan.t) : Value.t option =
         else
           let domains = Morsel.domains_for_rows ~domains:budget c.n in
           if domains <= 1 then None
-          else Some (fold_chain ctx ~domains ~monoid ~head c)
+          else Some (fold_chain ctx ~domains ~monoid ~head plan c)
       | None -> (
-        match strip_ops child [] with
+        match Analysis.peel child [] with
         | Plan.Join { pred; left; right }, steps ->
           try_join_reduce ctx ~domains:budget ~monoid ~head plan ~left ~right
             (Filter pred :: steps)

@@ -36,14 +36,14 @@ module BA1 = Bigarray.Array1
    kernel statically (a column mixing Int and Float declines), comparisons
    use [Float.compare] (NaN totally ordered, as [Value.compare] does),
    integer division/modulo by zero raise the same {!Eval.Error}s, NULLs
-   propagate through validity masks, and the sequential entry accumulates
+   propagate through validity masks, and a whole-scan {!run} accumulates
    in row order so float folds associate exactly as the closure engine's.
 
    Anything outside the fragment — other monoids, non-scalar expressions,
    mixed-type or non-scalar columns, sources without a columnar view
    (cleaning policies skipping rows, external producers) — declines with a
-   reason; {!Compile.query} records it as the ["vectorized->closure"] rung
-   of the degradation ladder and runs the closure engine instead. *)
+   reason; {!Ladder} records it as the ["vectorized->closure"] rung of the
+   degradation ladder and the closure engine takes over. *)
 
 exception Not_vectorizable of string
 
@@ -108,7 +108,7 @@ let note_batch rows =
   let slot = Atomic.fetch_and_add s_cursor 1 in
   Atomic.set s_ring.(slot mod ring_cap) rows
 
-let note_global_fallback reason =
+let note_fallback reason =
   Vida_sync.Lock.protect reasons_lock (fun () ->
       incr s_fallbacks;
       s_reasons :=
@@ -315,30 +315,27 @@ let rec cx env (e : Expr.t) : vx =
     decline "nested monoid expression"
   | Expr.Index _ -> decline "array indexing"
 
-(* Structural (type-independent) support check, used by {!classify} so
-   statically hopeless plans are declined before any column is fetched. *)
-let rec structurally_supported ~src_var (e : Expr.t) : (unit, string) result =
-  let sub a b =
-    match structurally_supported ~src_var a with
-    | Error _ as err -> err
-    | Ok () -> structurally_supported ~src_var b
-  in
+(* Structural (type-independent) support check, run before any column is
+   fetched so statically hopeless plans decline without touching data. *)
+let rec check_structure ~src_var (e : Expr.t) =
   match e with
-  | Expr.Const (Value.Int _ | Value.Float _ | Value.Bool _) -> Ok ()
-  | Expr.Const v -> Error ("non-scalar constant " ^ Value.to_string v)
-  | Expr.Proj (Expr.Var v, _) when String.equal v src_var -> Ok ()
-  | Expr.Var x when String.equal x src_var -> Error ("whole-row reference " ^ x)
-  | Expr.Var _ -> Ok () (* bind var or parameter; typing decides at run *)
-  | Expr.UnOp (_, a) -> structurally_supported ~src_var a
-  | Expr.BinOp (Expr.Concat, _, _) -> Error "string concatenation"
-  | Expr.BinOp (_, a, b) -> sub a b
-  | Expr.Proj _ -> Error "projection off a non-source value"
-  | Expr.If _ -> Error "conditional"
-  | Expr.Record _ -> Error "record construction"
-  | Expr.Lambda _ | Expr.Apply _ -> Error "function value"
+  | Expr.Const (Value.Int _ | Value.Float _ | Value.Bool _) -> ()
+  | Expr.Const v -> decline "non-scalar constant %s" (Value.to_string v)
+  | Expr.Proj (Expr.Var v, _) when String.equal v src_var -> ()
+  | Expr.Var x when String.equal x src_var -> decline "whole-row reference %s" x
+  | Expr.Var _ -> () (* bind var or parameter; typing decides at run *)
+  | Expr.UnOp (_, a) -> check_structure ~src_var a
+  | Expr.BinOp (Expr.Concat, _, _) -> decline "string concatenation"
+  | Expr.BinOp (_, a, b) ->
+    check_structure ~src_var a;
+    check_structure ~src_var b
+  | Expr.Proj _ -> decline "projection off a non-source value"
+  | Expr.If _ -> decline "conditional"
+  | Expr.Record _ -> decline "record construction"
+  | Expr.Lambda _ | Expr.Apply _ -> decline "function value"
   | Expr.Zero _ | Expr.Singleton _ | Expr.Merge _ | Expr.Comp _ ->
-    Error "nested monoid expression"
-  | Expr.Index _ -> Error "array indexing"
+    decline "nested monoid expression"
+  | Expr.Index _ -> decline "array indexing"
 
 (* Fields of the source the kernels touch: projections off the chain var. *)
 let rec proj_fields ~src_var acc (e : Expr.t) =
@@ -361,96 +358,6 @@ let rec proj_fields ~src_var acc (e : Expr.t) =
   | Expr.Comp _ -> acc
   | Expr.Index (a, idxs) ->
     List.fold_left (proj_fields ~src_var) (proj_fields ~src_var acc a) idxs
-
-(* --- plan classification ---------------------------------------------- *)
-
-type vstep = VFilter of Expr.t | VBind of string * Expr.t
-
-type candidate = {
-  source : Source.t;
-  name : string;
-  var : string;
-  steps : vstep list;  (* execution order *)
-  monoid : Monoid.t;
-  head : Expr.t;
-  fields : string list;
-}
-
-let monoid_supported = function
-  | Monoid.Prim
-      ( Monoid.Sum | Monoid.Prod | Monoid.Count | Monoid.Avg | Monoid.Max
-      | Monoid.Min | Monoid.All | Monoid.Some_ ) ->
-    Ok ()
-  | m -> Error ("monoid " ^ Monoid.name m ^ " has no fused kernel")
-
-let rec decompose (p : Plan.t) steps =
-  match p with
-  | Plan.Select { pred; child } -> decompose child (VFilter pred :: steps)
-  | Plan.Map { var; expr; child } -> decompose child (VBind (var, expr) :: steps)
-  | Plan.Source { var; expr = Expr.Var name } -> Some (var, name, steps)
-  | _ -> None
-
-(* [`Silent] = the plan shape was never a vectorization candidate (joins,
-   bare chains, subplans…): the closure engine is the designed path, no
-   fallback is recorded. [`Decline] = the shape matched but a detail rules
-   the kernels out: recorded as the vectorized->closure rung. *)
-let classify ctx (p : Plan.t) :
-    [ `Candidate of candidate | `Decline of string | `Silent ] =
-  if not (enabled ()) then `Silent
-  else
-    match p with
-    | Plan.Reduce { monoid; head; child } -> (
-      match decompose child [] with
-      | None -> `Silent
-      | Some (var, name, steps) -> (
-        match Registry.find ctx.Plugins.registry name with
-        | None -> `Silent
-        | Some source -> (
-          match source.Source.format with
-          | Source.External _ -> `Silent
-          | _ -> (
-            (* [count v] over the generator variable counts one per row —
-               generator bindings are records, never NULL, so the head
-               folds to an always-valid constant (the closure engine's
-               unit is Int 1 for records, equivalently). *)
-            let head =
-              match monoid, head with
-              | Monoid.Prim Monoid.Count, Expr.Var v when String.equal v var ->
-                Expr.Const (Value.Int 0)
-              | _ -> head
-            in
-            match monoid_supported monoid with
-            | Error reason -> `Decline reason
-            | Ok () -> (
-              let check e = structurally_supported ~src_var:var e in
-              let step_err =
-                List.find_map
-                  (fun s ->
-                    match s with
-                    | VFilter p -> (
-                      match check p with Ok () -> None | Error r -> Some r)
-                    | VBind (_, e) -> (
-                      match check e with Ok () -> None | Error r -> Some r))
-                  steps
-              in
-              match step_err with
-              | Some reason -> `Decline reason
-              | None -> (
-                match check head with
-                | Error reason -> `Decline reason
-                | Ok () ->
-                  let fields =
-                    List.fold_left
-                      (fun acc s ->
-                        match s with
-                        | VFilter p -> proj_fields ~src_var:var acc p
-                        | VBind (_, e) -> proj_fields ~src_var:var acc e)
-                      (proj_fields ~src_var:var [] head)
-                      steps
-                    |> List.rev
-                  in
-                  `Candidate { source; name; var; steps; monoid; head; fields }))))))
-    | _ -> `Silent
 
 (* --- compiled kernels -------------------------------------------------- *)
 
@@ -482,7 +389,9 @@ let build_kernel ?prune ~name ~var ~(cols : (string * col) array) ~nrows ~steps
   let col_tys = Array.map (fun (_, c) -> col_ty c) cols in
   let col_slots = Array.to_list (Array.mapi (fun i (f, _) -> (f, i)) cols) in
   let bind_names =
-    List.filter_map (function VBind (v, _) -> Some v | VFilter _ -> None) steps
+    List.filter_map
+      (function Analysis.Bind (v, _) -> Some v | Analysis.Filter _ -> None)
+      steps
   in
   let nbinds = List.length bind_names in
   let bind_slots = List.mapi (fun i v -> (v, i)) bind_names in
@@ -497,7 +406,7 @@ let build_kernel ?prune ~name ~var ~(cols : (string * col) array) ~nrows ~steps
     List.fold_left
       (fun (env, acc) s ->
         match s with
-        | VFilter p ->
+        | Analysis.Filter p ->
           let x = cx env p in
           if vx_ty x <> TB then decline "filter is not boolean-typed";
           let tap =
@@ -505,7 +414,7 @@ let build_kernel ?prune ~name ~var ~(cols : (string * col) array) ~nrows ~steps
           in
           taps := tap :: !taps;
           (env, KFilter (x, tap) :: acc)
-        | VBind (v, e) ->
+        | Analysis.Bind (v, e) ->
           let x = cx env e in
           let slot = List.assoc v bind_slots in
           bind_tys.(slot) <- vx_ty x;
@@ -1121,131 +1030,109 @@ let flush_feedback ctx (k : kernel) =
           ~observed:(float_of_int passed /. float_of_int seen))
     k.k_taps
 
-(* --- chain entry (parallel morsels) ----------------------------------- *)
+(* --- the kernel entry --------------------------------------------------- *)
 
-(* Compile a kernel for a chain the parallel engine already resolved
-   (columns fetched, effects vetted). The kernel is immutable and shared;
-   each worker domain instantiates its own scratch. *)
-let compile_chain ctx ~name ~var ~(columns : (string * Column.t) array)
-    ~nrows ~steps ~monoid ~head : (kernel, string) result =
-  ignore ctx;
-  if not (enabled ()) then Error "vectorized engine disabled"
-  else
-    match monoid_supported monoid with
-    | Error reason -> Error reason
-    | Ok () -> (
-      let head =
-        match monoid, head with
-        | Monoid.Prim Monoid.Count, Expr.Var v when String.equal v var ->
-          Expr.Const (Value.Int 0)
-        | _ -> head
-      in
-      let fields =
-        List.fold_left
-          (fun acc s ->
-            match s with
-            | VFilter p -> proj_fields ~src_var:var acc p
-            | VBind (_, e) -> proj_fields ~src_var:var acc e)
-          (proj_fields ~src_var:var [] head)
-          steps
-      in
-      try
-        let cols =
-          Array.of_list
-            (List.map
-               (fun f ->
-                 match
-                   Array.find_opt (fun (g, _) -> String.equal g f) columns
-                 with
-                 | Some (_, c) -> (f, col_of_column ~field:f c)
-                 | None -> decline "field %s has no column" f)
-               fields)
-        in
-        Ok (build_kernel ~name ~var ~cols ~nrows ~steps ~monoid ~head ())
-      with Not_vectorizable reason -> Error reason)
+type columns = Fetch | Given of int * (string * Column.t) array
 
-(* --- sequential entry (Compile.query) --------------------------------- *)
-
-(* Resolve columns, type and run — performed per invocation so the thunk
-   never holds stale columns across a source invalidation: every run
-   re-reads through the plugins cache exactly as the closure engine does,
-   and numeric columns come out of the cache unboxed already. *)
-let run_candidate ctx (c : candidate) () : Value.t =
-  let cols =
-    match c.source.Source.format with
-    | Source.Binary_array
-      when Plugins.bad_row_count ctx c.name = 0 && c.fields <> [] ->
-      (* direct batch decode: no whole-column materialization at all, and
-         the filters' numeric bounds prune whole batches via zone maps
-         (the batch-granular analogue of the closure engine's pushdown) *)
-      let ba = Structures.binarray ctx.Plugins.structures c.source in
-      let hdr = Binarray.header ba in
-      let ranges =
-        List.filter_map
-          (fun (f, lo, hi) ->
-            Option.map
-              (fun field -> { Binarray.field; lo; hi })
-              (Binarray.field_index ba f))
-          (List.filter_map
-             (Analysis.range_of ~var:c.var)
-             (List.concat_map Analysis.conjuncts
-                (List.filter_map
-                   (function VFilter p -> Some p | VBind _ -> None)
-                   c.steps)))
-      in
-      Some
-        ( Binarray.cell_count ba,
-          Array.of_list
-            (List.map
-               (fun f ->
-                 match Binarray.field_index ba f with
-                 | None -> decline "binary array has no field %s" f
-                 | Some idx ->
-                   let fld = List.nth hdr.Binarray.fields idx in
-                   if fld.Binarray.is_float then (f, ColRawF (ba, idx))
-                   else (f, ColRawI (ba, idx)))
-               c.fields),
-          if ranges = [] then None else Some (ba, ranges) )
-    | _ ->
-      Option.map
-        (fun (nrows, cols) ->
-          ( nrows,
-            Array.of_list
-              (List.map (fun (f, c) -> (f, col_of_column ~field:f c)) cols),
-            None ))
-        (Plugins.column_arrays ctx c.source ~fields:c.fields)
-  in
-  match cols with
-  | None ->
-    decline "source %s has no columnar view (cleaning policy or format)" c.name
-  | Some (nrows, cols, prune) ->
-    let k =
-      build_kernel ?prune ~name:c.name ~var:c.var ~cols ~nrows ~steps:c.steps
-        ~monoid:c.monoid ~head:c.head ()
+(* Columns of a single-domain scan, fetched per run so a kernel never
+   holds stale columns across a source invalidation: numeric columns come
+   out of the plugins cache unboxed already. A clean binary array instead
+   decodes batch by batch straight from the file, with no whole-column
+   materialization at all, and the filters' numeric bounds prune whole
+   batches via zone maps (the batch-granular analogue of the closure
+   engine's pushdown). *)
+let fetch ctx ~(source : Source.t) ~name ~var ~steps ~fields =
+  match source.Source.format with
+  | Source.Binary_array when Plugins.bad_row_count ctx name = 0 && fields <> [] ->
+    let ba = Structures.binarray ctx.Plugins.structures source in
+    let hdr = Binarray.header ba in
+    let ranges =
+      List.filter_map
+        (fun (f, lo, hi) ->
+          Option.map
+            (fun field -> { Binarray.field; lo; hi })
+            (Binarray.field_index ba f))
+        (List.filter_map
+           (Analysis.range_of ~var)
+           (List.concat_map Analysis.conjuncts
+              (List.filter_map
+                 (function Analysis.Filter p -> Some p | Analysis.Bind _ -> None)
+                 steps)))
     in
-    let inst = instantiate k in
-    let acc = run_range inst ~lo:0 ~hi:nrows in
-    flush_feedback ctx k;
-    if nrows > 0 then
-      Feedback.record ctx.Plugins.feedback
-        ~key:(Feedback.cardinality_key c.name)
-        ~observed:(float_of_int nrows);
-    Monoid.finalize c.monoid acc
+    Some
+      ( Binarray.cell_count ba,
+        Array.of_list
+          (List.map
+             (fun f ->
+               match Binarray.field_index ba f with
+               | None -> decline "binary array has no field %s" f
+               | Some idx ->
+                 let fld = List.nth hdr.Binarray.fields idx in
+                 if fld.Binarray.is_float then (f, ColRawF (ba, idx))
+                 else (f, ColRawI (ba, idx)))
+             fields),
+        if ranges = [] then None else Some (ba, ranges) )
+  | _ ->
+    Option.map
+      (fun (nrows, cols) ->
+        ( nrows,
+          Array.of_list (List.map (fun (f, c) -> (f, col_of_column ~field:f c)) cols),
+          None ))
+      (Plugins.column_arrays ctx source ~fields)
 
-(* The wiring point for {!Compile.query}: [`Run] executes the whole plan
-   vectorized (raising {!Not_vectorizable} at run time when columns turn
-   out untypeable — the caller records the rung and falls back), [`Decline]
-   is a static refusal with its reason, [`Silent] plans were never
-   candidates. *)
-let compile ctx (p : Plan.t) :
-    [ `Run of unit -> Value.t | `Decline of string | `Silent ] =
-  match classify ctx p with
-  | `Silent -> `Silent
-  | `Decline reason ->
-    note_global_fallback reason;
-    `Decline reason
-  | `Candidate c -> `Run (run_candidate ctx c)
+(* The one way to build a kernel. [`Silent]: the plan is not a Reduce over
+   a Select*/Map* chain on one registered source, or the engine is off —
+   the closure engine is the designed path. [`Declined]: the shape matched
+   but a detail rules the kernels out. The kernel is immutable; each
+   worker domain instantiates its own scratch. *)
+let kernel ctx (p : Plan.t) columns =
+  match Analysis.neutralize_count_head p with
+  | Plan.Reduce { monoid; head; child } when enabled () -> (
+    match Analysis.chain child with
+    | None -> `Silent
+    | Some (var, name, steps) -> (
+      match Registry.find ctx.Plugins.registry name with
+      | None | Some { Source.format = Source.External _; _ } -> `Silent
+      | Some source -> (
+        try
+          (match monoid with
+          | Monoid.Prim
+              ( Monoid.Sum | Monoid.Prod | Monoid.Count | Monoid.Avg | Monoid.Max
+              | Monoid.Min | Monoid.All | Monoid.Some_ ) ->
+            ()
+          | m -> decline "monoid %s has no fused kernel" (Monoid.name m));
+          let exprs =
+            List.map (function Analysis.Filter e | Analysis.Bind (_, e) -> e) steps
+          in
+          List.iter (check_structure ~src_var:var) (exprs @ [ head ]);
+          let fields =
+            List.rev (List.fold_left (proj_fields ~src_var:var) [] (head :: exprs))
+          in
+          let nrows, cols, prune =
+            match columns with
+            | Given (nrows, given) ->
+              let col f =
+                match Array.find_opt (fun (g, _) -> String.equal g f) given with
+                | Some (_, c) -> (f, col_of_column ~field:f c)
+                | None -> decline "field %s has no column" f
+              in
+              (nrows, Array.of_list (List.map col fields), None)
+            | Fetch -> (
+              match fetch ctx ~source ~name ~var ~steps ~fields with
+              | Some resolved -> resolved
+              | None ->
+                decline
+                  "source %s has no columnar view (cleaning policy or format)" name)
+          in
+          `Ran (build_kernel ?prune ~name ~var ~cols ~nrows ~steps ~monoid ~head ())
+        with Not_vectorizable reason -> `Declined reason)))
+  | _ -> `Silent
 
-(* record a fallback in the process-global stats as well as the ambient
-   session (callers own the session-side note) *)
-let note_fallback_stats reason = note_global_fallback reason
+let run ctx k =
+  let acc = run_range (instantiate k) ~lo:0 ~hi:k.k_nrows in
+  flush_feedback ctx k;
+  if k.k_nrows > 0 then
+    Feedback.record ctx.Plugins.feedback
+      ~key:(Feedback.cardinality_key k.k_name)
+      ~observed:(float_of_int k.k_nrows);
+  Monoid.finalize k.k_monoid acc

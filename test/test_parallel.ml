@@ -188,6 +188,29 @@ let test_vida_facade_domains () =
       "for { p <- People } yield count p.city"
     ]
 
+(* the optimizer's statistics do not depend on the domain budget: a
+   resolved parallel chain records its source's cardinality just as the
+   sequential scan does, whichever rung folds it *)
+let test_cardinality_feedback_domains () =
+  with_tiny_floors @@ fun () ->
+  let path = tmp_file ".csv" (csv_contents 2000) in
+  let card ~domains ~vectorized =
+    let was = Vector.enabled () in
+    Vector.set_enabled vectorized;
+    Fun.protect ~finally:(fun () -> Vector.set_enabled was) @@ fun () ->
+    let db = Vida.create () in
+    Vida.set_domains db domains;
+    Vida.csv db ~name:"P" ~path ();
+    ignore (Vida.query_value db "for { p <- P, p.age > 40 } yield sum p.age");
+    Feedback.lookup (Vida.ctx db).Plugins.feedback ~key:(Feedback.cardinality_key "P")
+  in
+  List.iter
+    (fun (domains, vectorized) ->
+      Alcotest.(check (option (float 0.)))
+        (Printf.sprintf "card|P at domains=%d vectorized=%b" domains vectorized)
+        (Some 2000.) (card ~domains ~vectorized))
+    [ (1, true); (4, true); (1, false); (4, false) ]
+
 (* --- parallel auxiliary-structure builds are byte-identical --- *)
 
 let awkward_csv =
@@ -323,7 +346,9 @@ let () =
   Alcotest.run "parallel"
     [ ( "differential",
         [ Alcotest.test_case "formats x domain counts" `Quick test_differential_formats;
-          Alcotest.test_case "vida facade budgets" `Quick test_vida_facade_domains
+          Alcotest.test_case "vida facade budgets" `Quick test_vida_facade_domains;
+          Alcotest.test_case "cardinality feedback per budget" `Quick
+            test_cardinality_feedback_domains
         ] );
       ( "aux builds",
         [ Alcotest.test_case "positional map" `Quick test_parallel_posmap_build;

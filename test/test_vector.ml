@@ -305,39 +305,59 @@ let test_cancellation_at_batch_boundary () =
      fires at the first boundary rather than being skipped *)
   cancelled_with ~batch:65536 ~polls:100
 
+(* The ladder at 1 and 4 domains, with the vectorized rung switched on
+   and off: the same answers and the same stage names per rung at both
+   domain counts. Switched off, the vectorized rung is silent: no
+   fallback in the report and no increment of the process-wide count. *)
 let test_fallback_ladder () =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "v,name\n";
   for i = 1 to 50 do
     Printf.bprintf buf "%d,n%03d\n" i i
   done;
-  let db = Vida.create () in
-  Vida.csv db ~name:"L" ~path:(tmp_file ".csv" (Buffer.contents buf)) ();
-  let run q =
-    match Vida.query ~reuse:false db q with
-    | Ok r -> r
-    | Error e -> Alcotest.failf "%s failed: %s" q (Vida.error_to_string e)
+  let path = tmp_file ".csv" (Buffer.contents buf) in
+  let ladder ~domains ~vectorized () =
+    let db = Vida.create () in
+    Vida.set_domains db domains;
+    Vida.csv db ~name:"L" ~path ();
+    let leg = Printf.sprintf "domains=%d vectorized=%b: " domains vectorized in
+    let run q =
+      match Vida.query ~reuse:false db q with
+      | Ok r -> r
+      | Error e -> Alcotest.failf "%s%s failed: %s" leg q (Vida.error_to_string e)
+    in
+    let has_stage r stage =
+      List.exists (fun f -> f.G.stage = stage) r.Vida.governor.G.fallbacks
+    in
+    let fallbacks0 = (Vector.stats ()).Vector.fallbacks in
+    (* rung 1 — vectorized: batches recorded, no fallback *)
+    let r = run "for { p <- L } yield sum p.v" in
+    check_value (leg ^ "vectorized sum") (Value.Int 1275) r.Vida.value;
+    check_bool (leg ^ "vectorized rung ran batches") vectorized
+      (r.Vida.governor.G.batches > 0);
+    check_bool (leg ^ "no vectorized fallback") false (has_stage r "vectorized->closure");
+    (* rung 2 — closure: a string column has no unboxed kernel, so the
+       vectorized rung declines and the report names the drop *)
+    let r = run "for { p <- L } yield max p.name" in
+    check_value (leg ^ "closure max") (Value.String "n050") r.Vida.value;
+    check_bool (leg ^ "vectorized->closure recorded") vectorized
+      (has_stage r "vectorized->closure");
+    check_bool (leg ^ "no batches on the closure rung") true (r.Vida.governor.G.batches = 0);
+    (* rung 3 — generic: an injected JIT failure drops the whole compiled
+       tier, vectorized included *)
+    G.Chaos.fail_jit_compiles 1;
+    let r = run "for { p <- L } yield sum p.v" in
+    check_value (leg ^ "generic sum") (Value.Int 1275) r.Vida.value;
+    check_bool (leg ^ "jit->generic recorded") true (has_stage r "jit->generic");
+    Alcotest.(check int) (leg ^ "process-wide fallbacks counted")
+      (if vectorized then 1 else 0)
+      ((Vector.stats ()).Vector.fallbacks - fallbacks0)
   in
-  let has_stage r stage =
-    List.exists (fun f -> f.G.stage = stage) r.Vida.governor.G.fallbacks
-  in
-  (* rung 1 — vectorized: batches recorded, no fallback *)
-  let r = run "for { p <- L } yield sum p.v" in
-  check_value "vectorized sum" (Value.Int 1275) r.Vida.value;
-  check_bool "vectorized rung ran batches" true (r.Vida.governor.G.batches > 0);
-  check_bool "no vectorized fallback" false (has_stage r "vectorized->closure");
-  (* rung 2 — closure: a string column has no unboxed kernel, so the
-     vectorized rung declines and the report names the drop *)
-  let r = run "for { p <- L } yield max p.name" in
-  check_value "closure max" (Value.String "n050") r.Vida.value;
-  check_bool "vectorized->closure recorded" true (has_stage r "vectorized->closure");
-  check_bool "no batches on the closure rung" true (r.Vida.governor.G.batches = 0);
-  (* rung 3 — generic: an injected JIT failure drops the whole compiled
-     tier, vectorized included *)
-  G.Chaos.fail_jit_compiles 1;
-  let r = run "for { p <- L } yield sum p.v" in
-  check_value "generic sum" (Value.Int 1275) r.Vida.value;
-  check_bool "jit->generic recorded" true (has_stage r "jit->generic")
+  List.iter
+    (fun domains ->
+      ladder ~domains ~vectorized:true ();
+      with_vector_off (ladder ~domains ~vectorized:false))
+    [ 1; 4 ]
 
 let test_disabled_switch () =
   (* the kill switch routes everything through the closure engine without
