@@ -71,9 +71,9 @@ val domains : t -> int
     {!Vida_engine.Vector}. [set_batch_rows] sets the morsel-local batch
     stride (floored at 1; the [VIDA_BATCH_ROWS] environment variable sets
     the initial value); [set_vectorized false] silences the rung at every
-    domain count: queries run on the closure engine (or the row-morsel
-    fold) and no fallback is recorded ([VIDA_VECTOR=0] does the same at
-    startup). *)
+    domain count: queries run on the closure engine (over morsels when
+    parallel) and no fallback is recorded ([VIDA_VECTOR=0] does the same
+    at startup). *)
 
 val set_batch_rows : int -> unit
 val batch_rows : unit -> int

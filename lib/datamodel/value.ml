@@ -75,6 +75,13 @@ let rec hash v =
       (fun acc v -> (acc * 65599) + hash v)
       (53 + Hashtbl.hash dims) data
 
+module Tbl = Hashtbl.Make (struct
+  type nonrec t = t list
+
+  let equal a b = List.length a = List.length b && List.for_all2 equal a b
+  let hash ks = List.fold_left (fun acc v -> (acc * 65599) + hash v) 17 ks
+end)
+
 let set_of_list vs = Set (List.sort_uniq compare vs)
 
 let to_bool = function

@@ -34,6 +34,10 @@ val equal : t -> t -> bool
     equality: [hash (Int 1) = hash (Float 1.)]). *)
 val hash : t -> int
 
+(** Hash tables keyed by lists of values (join and grouping keys), with
+    {!equal} and {!hash} lifted to lists. *)
+module Tbl : Hashtbl.S with type key = t list
+
 (** [set_of_list vs] sorts and dedups [vs], establishing the [Set]
     invariant. *)
 val set_of_list : t list -> t

@@ -2,16 +2,6 @@ open Vida_data
 open Vida_calculus
 open Vida_algebra
 
-(* Hash tables keyed by lists of values (join/group keys). *)
-module Vkey = struct
-  type t = Value.t list
-
-  let equal a b = List.length a = List.length b && List.for_all2 Value.equal a b
-  let hash ks = List.fold_left (fun acc v -> (acc * 65599) + Value.hash v) 17 ks
-end
-
-module Vtbl = Hashtbl.Make (Vkey)
-
 module Governor = Vida_governor.Governor
 
 (* Charge materialized operator state (join build snapshots, product
@@ -41,6 +31,98 @@ let rec binders (p : Plan.t) : string list =
   | Plan.Unnest { var; child; _ } -> binders child @ [ var ]
   | Plan.Reduce { child; _ } -> binders child
   | Plan.Nest { var; keys; child; _ } -> binders child @ List.map fst keys @ [ var ]
+
+(* --- runtime feedback ---
+
+   Every instrumented operator counts into a tap: a source its rows, a
+   filter the rows it saw and passed, an equi-join its left and right
+   inputs and its matches. A pipeline gathers the taps of each instance it
+   compiles (one per sequential run, one per morsel task), and
+   [flush_feedback] sums them position by position and records each
+   observation once, on the calling domain (paper §5 runtime feedback),
+   where the optimizer picks them up for later queries. *)
+
+type tap = { key : string; counts : int array; observe : int array -> float option }
+
+let rows_observed c = if c.(0) > 0 then Some (float_of_int c.(0)) else None
+
+let selectivity c =
+  if c.(0) >= 16 then Some (float_of_int c.(1) /. float_of_int c.(0)) else None
+
+let join_selectivity c =
+  if c.(0) > 0 && c.(1) > 0 then
+    Some (float_of_int c.(2) /. (float_of_int c.(0) *. float_of_int c.(1)))
+  else None
+
+type pipeline = {
+  ctx : Plugins.ctx;
+  columns : Vector.columns;
+  plan : Plan.t;
+  outer_slots : (string * int) list;
+  needs : (string * Analysis.need) list;
+  instances : tap list list Atomic.t;
+}
+
+(* One compiled instance of a pipeline: the row range its [Given] source
+   boxes on the current run, and the taps compiled so far. *)
+type instance = {
+  p : pipeline;
+  mutable lo : int;
+  mutable hi : int;
+  mutable taps : tap list;
+}
+
+let tap inst key observe width =
+  let counts = Array.make width 0 in
+  inst.taps <- { key; counts; observe } :: inst.taps;
+  counts
+
+let rec enlist p taps =
+  let seen = Atomic.get p.instances in
+  if not (Atomic.compare_and_set p.instances seen (taps :: seen)) then enlist p taps
+
+let flush_feedback p =
+  match Atomic.exchange p.instances [] with
+  | [] -> ()
+  | first :: rest ->
+    let add sum tap =
+      Array.iteri (fun i n -> sum.counts.(i) <- sum.counts.(i) + n) tap.counts
+    in
+    List.iter (List.iter2 add first) rest;
+    List.iter
+      (fun tap ->
+        Option.iter
+          (fun observed -> Feedback.record p.ctx.Plugins.feedback ~key:tap.key ~observed)
+          (tap.observe tap.counts))
+      first
+
+(* Compile one instance of [p] (closures and taps of its own; [compile]
+   builds its run) and enlist its taps. The result runs rows [lo, hi). *)
+let instance p compile =
+  let inst = { p; lo = 0; hi = 0; taps = [] } in
+  let run = compile inst in
+  enlist p inst.taps;
+  fun ~lo ~hi ->
+    inst.lo <- lo;
+    inst.hi <- hi;
+    run ()
+
+let record_join ctx pred ~left ~right ~matched =
+  Option.iter
+    (fun observed ->
+      Feedback.record ctx.Plugins.feedback ~key:(Feedback.join_key pred) ~observed)
+    (join_selectivity [| left; right; matched |])
+
+let make ctx ~outer_slots columns (plan : Plan.t) =
+  let need var =
+    match plan with
+    | Plan.Reduce _ -> Analysis.plan_var_needs plan ~var
+    (* a bare stream outputs every binding whole, so no projection pushdown *)
+    | _ -> Analysis.Whole
+  in
+  { ctx; columns; plan; outer_slots;
+    needs = List.map (fun var -> (var, need var)) (binders plan);
+    instances = Atomic.make [] }
 
 (* --- scalar compilation --- *)
 
@@ -142,66 +224,56 @@ and compile_subquery ctx outer_slots (e : Expr.t) : Value.t array -> Value.t =
 
 (* [compile_query ctx ~outer_slots plan] returns [run] such that [run init]
    executes the plan and yields its value; [init] preloads outer bindings
-   into the fresh environment. *)
+   into the fresh environment. Each run is one instance of the plan's
+   pipeline and records its own feedback. *)
 and compile_query ctx ~outer_slots (plan : Plan.t) : (Value.t array -> unit) -> Value.t =
-  let base = List.length outer_slots in
-  let flushes : (unit -> unit) list ref = ref [] in
-  match plan with
-  | Plan.Reduce { monoid; head; child } ->
-    let vars = binders child in
-    let slots = outer_slots @ List.mapi (fun i v -> (v, base + i)) vars in
-    let nslots = base + List.length vars in
-    let chead = compile_scalar ctx slots head in
-    let needs = needs_table plan in
-    fun init ->
-      let env = Array.make nslots Value.Null in
-      init env;
-      let acc = ref (Monoid.zero monoid) in
-      let run =
-        compile_ops ctx slots needs flushes env child (fun () ->
-            acc := Monoid.merge monoid !acc (Monoid.unit monoid (chead env)))
-      in
-      run ();
-      List.iter (fun flush -> flush ()) !flushes;
-      Monoid.finalize monoid !acc
-  | p ->
-    (* non-reduce top: produce the bag of binding records, matching the
-       reference executor *)
-    let vars = binders p in
-    let slots = outer_slots @ List.mapi (fun i v -> (v, base + i)) vars in
-    let nslots = base + List.length vars in
-    (* a bare stream outputs every binding whole, so no projection pushdown *)
-    let needs = Hashtbl.create 8 in
-    List.iter (fun v -> Hashtbl.replace needs v Analysis.Whole) vars;
-    fun init ->
-      let env = Array.make nslots Value.Null in
-      init env;
-      let out = ref [] in
-      let run =
-        compile_ops ctx slots needs flushes env p (fun () ->
-            out :=
-              Value.Record (List.map (fun v -> (v, env.(List.assoc v slots))) vars)
-              :: !out)
-      in
-      run ();
-      List.iter (fun flush -> flush ()) !flushes;
-      Value.Bag (List.rev !out)
+  let p = make ctx ~outer_slots Vector.Fetch plan in
+  let finalize =
+    match plan with Plan.Reduce { monoid; _ } -> Monoid.finalize monoid | _ -> Fun.id
+  in
+  fun init ->
+    let v = fold p init ~lo:0 ~hi:0 in
+    flush_feedback p;
+    finalize v
 
-and needs_table (plan : Plan.t) =
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun var -> Hashtbl.replace tbl var (Analysis.plan_var_needs plan ~var))
-    (binders plan);
-  tbl
+(* One instance folding a Reduce to its pre-finalize accumulator, or a
+   bare stream to the bag of its binding records (matching the reference
+   executor), in a fresh environment preloaded by [init]. *)
+and fold p init =
+  let base = List.length p.outer_slots in
+  let vars = binders p.plan in
+  let slots = p.outer_slots @ List.mapi (fun i v -> (v, base + i)) vars in
+  instance p (fun inst ->
+      let env = Array.make (base + List.length vars) Value.Null in
+      init env;
+      let child, consume, result =
+        match p.plan with
+        | Plan.Reduce { monoid; head; child } ->
+          let chead = compile_scalar p.ctx slots head in
+          let acc = ref (Monoid.zero monoid) in
+          ( child,
+            (fun () -> acc := Monoid.merge monoid !acc (Monoid.unit monoid (chead env))),
+            fun () -> !acc )
+        | plan ->
+          let out = ref [] in
+          ( plan,
+            (fun () ->
+              out :=
+                Value.Record (List.map (fun v -> (v, env.(List.assoc v slots))) vars)
+                :: !out),
+            fun () -> Value.Bag (List.rev !out) )
+      in
+      let run = compile_ops inst slots env child consume in
+      fun () ->
+        run ();
+        result ())
 
 (* Compile the operator tree to a push pipeline over the shared [env].
-   Operators are lightly instrumented: observed selectivities and
-   cardinalities flush into [ctx.feedback] after each run (paper §5
-   runtime feedback), where the optimizer picks them up for later
-   queries. *)
-and compile_ops ctx slots needs flushes env (p : Plan.t) (consume : unit -> unit) :
-    unit -> unit =
+   Operators are lightly instrumented with taps (see above). *)
+and compile_ops inst slots env (p : Plan.t) (consume : unit -> unit) : unit -> unit =
+  let ctx = inst.p.ctx in
   let slot v = List.assoc v slots in
+  let need var = Option.value (List.assoc_opt var inst.p.needs) ~default:Analysis.Whole in
   match p with
   | Plan.Unit -> fun () -> consume ()
   | Plan.Source { var; expr } ->
@@ -221,29 +293,26 @@ and compile_ops ctx slots needs flushes env (p : Plan.t) (consume : unit -> unit
               consume ())
             (Value.elements coll))
     else (
-      let need =
-        match Hashtbl.find_opt needs var with
-        | Some n -> n
-        | None -> Analysis.Whole
+      let rows =
+        match expr with
+        | Expr.Var name -> tap inst (Feedback.cardinality_key name) rows_observed 1
+        | _ -> [| 0 |]
       in
-      let produced = ref 0 in
-      (match expr with
-      | Expr.Var name ->
-        flushes :=
-          (fun () ->
-            if !produced > 0 then
-              Feedback.record ctx.Plugins.feedback
-                ~key:(Feedback.cardinality_key name)
-                ~observed:(float_of_int !produced);
-            produced := 0)
-          :: !flushes
-      | _ -> ());
-      fun () ->
-        Plugins.producer ctx expr ~need (fun v ->
-            Governor.poll ~source:"compile" ();
-            incr produced;
-            env.(s) <- v;
-            consume ()))
+      let push v =
+        Governor.poll ~source:"compile" ();
+        rows.(0) <- rows.(0) + 1;
+        env.(s) <- v;
+        consume ()
+      in
+      match inst.p.columns with
+      | Vector.Fetch -> fun () -> Plugins.producer ctx expr ~need:(need var) push
+      | Vector.Given (_, columns) ->
+        (* a morsel: box rows [lo, hi) from columns fetched by the caller *)
+        fun () ->
+          for i = inst.lo to inst.hi - 1 do
+            let field (f, c) fs = (f, Column.get c i) :: fs in
+            push (Value.Record (Array.fold_right field columns []))
+          done)
   | Plan.Select _ -> (
     (* gather the whole selection chain so scan-level pushdown sees every
        conjunct, not just the innermost Select *)
@@ -258,28 +327,19 @@ and compile_ops ctx slots needs flushes env (p : Plan.t) (consume : unit -> unit
       List.fold_left
         (fun consume pred ->
           let cp = compile_scalar ctx slots pred in
-          let seen = ref 0 and passed = ref 0 in
-          flushes :=
-            (fun () ->
-              if !seen >= 16 then
-                Feedback.record ctx.Plugins.feedback
-                  ~key:(Feedback.selectivity_key pred)
-                  ~observed:(float_of_int !passed /. float_of_int !seen);
-              seen := 0;
-              passed := 0)
-            :: !flushes;
+          let c = tap inst (Feedback.selectivity_key pred) selectivity 2 in
           fun () ->
-            incr seen;
+            c.(0) <- c.(0) + 1;
             if Eval.truthy (cp env) then (
-              incr passed;
+              c.(1) <- c.(1) + 1;
               consume ()))
         consume preds
     in
     (* scan-level predicate pushdown: a filtered scan of a binary array
        hands its numeric bounds to the format's zone maps, skipping blocks
        that cannot match; the exact predicates still run above *)
-    match base with
-    | Plan.Source { var; expr = Expr.Var name } -> (
+    match (inst.p.columns, base) with
+    | Vector.Fetch, Plan.Source { var; expr = Expr.Var name } -> (
       let source = Vida_catalog.Registry.find ctx.Plugins.registry name in
       match source with
       | Some ({ Vida_catalog.Source.format = Vida_catalog.Source.Binary_array; _ } as source) ->
@@ -287,31 +347,26 @@ and compile_ops ctx slots needs flushes env (p : Plan.t) (consume : unit -> unit
           List.filter_map (Analysis.range_of ~var)
             (List.concat_map Analysis.conjuncts preds)
         in
-        if ranges = [] then compile_ops ctx slots needs flushes env base filtered
+        if ranges = [] then compile_ops inst slots env base filtered
         else (
           let s = slot var in
-          let need =
-            match Hashtbl.find_opt needs var with
-            | Some n -> n
-            | None -> Analysis.Whole
-          in
           fun () ->
-            Plugins.binarray_ranged_producer ctx source need ~ranges (fun v ->
+            Plugins.binarray_ranged_producer ctx source (need var) ~ranges (fun v ->
                 Governor.poll ~source:"compile" ();
                 env.(s) <- v;
                 filtered ()))
-      | _ -> compile_ops ctx slots needs flushes env base filtered)
-    | base -> compile_ops ctx slots needs flushes env base filtered)
+      | _ -> compile_ops inst slots env base filtered)
+    | _ -> compile_ops inst slots env base filtered)
   | Plan.Map { var; expr; child } ->
     let s = slot var in
     let ce = compile_scalar ctx slots expr in
-    compile_ops ctx slots needs flushes env child (fun () ->
+    compile_ops inst slots env child (fun () ->
         env.(s) <- ce env;
         consume ())
   | Plan.Unnest { var; path; outer; child } ->
     let s = slot var in
     let cp = compile_scalar ctx slots path in
-    compile_ops ctx slots needs flushes env child (fun () ->
+    compile_ops inst slots env child (fun () ->
         let elements =
           match cp env with Value.Null -> [] | coll -> Value.elements coll
         in
@@ -330,13 +385,13 @@ and compile_ops ctx slots needs flushes env (p : Plan.t) (consume : unit -> unit
     let right_slots = List.map slot (binders right) in
     let stored = ref [] in
     let run_right =
-      compile_ops ctx slots needs flushes env right (fun () ->
+      compile_ops inst slots env right (fun () ->
           let snapshot = List.map (fun i -> env.(i)) right_slots in
           charge_snapshot snapshot;
           stored := snapshot :: !stored)
     in
     let run_left =
-      compile_ops ctx slots needs flushes env left (fun () ->
+      compile_ops inst slots env left (fun () ->
           List.iter
             (fun snapshot ->
               List.iter2 (fun i v -> env.(i) <- v) right_slots snapshot;
@@ -356,7 +411,7 @@ and compile_ops ctx slots needs flushes env (p : Plan.t) (consume : unit -> unit
     match keys with
     | [] ->
       (* no equi-conjunct: product plus filter *)
-      compile_ops ctx slots needs flushes env
+      compile_ops inst slots env
         (Plan.Select { pred; child = Plan.Product { left; right } })
         consume
     | keys ->
@@ -364,35 +419,26 @@ and compile_ops ctx slots needs flushes env (p : Plan.t) (consume : unit -> unit
       let lkeys = List.map (fun (l, _) -> compile_scalar ctx slots l) keys in
       let rkeys = List.map (fun (_, r) -> compile_scalar ctx slots r) keys in
       let cresidual = Option.map (compile_scalar ctx slots) residual in
-      let table : Value.t list list Vtbl.t = Vtbl.create 1024 in
-      let l_in = ref 0 and r_in = ref 0 and out = ref 0 in
-      flushes :=
-        (fun () ->
-          if !l_in > 0 && !r_in > 0 then
-            Feedback.record ctx.Plugins.feedback ~key:(Feedback.join_key pred)
-              ~observed:
-                (float_of_int !out /. (float_of_int !l_in *. float_of_int !r_in));
-          l_in := 0;
-          r_in := 0;
-          out := 0)
-        :: !flushes;
+      let table : Value.t list list Value.Tbl.t = Value.Tbl.create 1024 in
+      (* left rows in, right rows in, matches out *)
+      let c = tap inst (Feedback.join_key pred) join_selectivity 3 in
       let run_right =
-        compile_ops ctx slots needs flushes env right (fun () ->
-            incr r_in;
+        compile_ops inst slots env right (fun () ->
+            c.(1) <- c.(1) + 1;
             let key = List.map (fun c -> c env) rkeys in
             (* NULL keys never match (three-valued equality) *)
             if not (List.exists (fun v -> v = Value.Null) key) then (
               let snapshot = List.map (fun i -> env.(i)) right_slots in
               charge_snapshot snapshot;
-              let bucket = try Vtbl.find table key with Not_found -> [] in
-              Vtbl.replace table key (snapshot :: bucket)))
+              let bucket = try Value.Tbl.find table key with Not_found -> [] in
+              Value.Tbl.replace table key (snapshot :: bucket)))
       in
       let run_left =
-        compile_ops ctx slots needs flushes env left (fun () ->
-            incr l_in;
+        compile_ops inst slots env left (fun () ->
+            c.(0) <- c.(0) + 1;
             let key = List.map (fun c -> c env) lkeys in
             if not (List.exists (fun v -> v = Value.Null) key) then
-              match Vtbl.find_opt table key with
+              match Value.Tbl.find_opt table key with
               | None -> ()
               | Some bucket ->
                 List.iter
@@ -400,16 +446,16 @@ and compile_ops ctx slots needs flushes env (p : Plan.t) (consume : unit -> unit
                     List.iter2 (fun i v -> env.(i) <- v) right_slots snapshot;
                     match cresidual with
                     | None ->
-                      incr out;
+                      c.(2) <- c.(2) + 1;
                       consume ()
                     | Some cr ->
                       if Eval.truthy (cr env) then (
-                        incr out;
+                        c.(2) <- c.(2) + 1;
                         consume ()))
                   (List.rev bucket))
       in
       fun () ->
-        Vtbl.reset table;
+        Value.Tbl.reset table;
         run_right ();
         (* hash build done: boundary check before the probe phase starts *)
         Governor.checkpoint ~source:"compile" ();
@@ -421,17 +467,17 @@ and compile_ops ctx slots needs flushes env (p : Plan.t) (consume : unit -> unit
     let var_slot = slot var in
     let ckeys = List.map (fun (_, k) -> compile_scalar ctx slots k) keys in
     let chead = compile_scalar ctx slots head in
-    let table : Value.t ref Vtbl.t = Vtbl.create 256 in
+    let table : Value.t ref Value.Tbl.t = Value.Tbl.create 256 in
     let order = ref [] in
     let run_child =
-      compile_ops ctx slots needs flushes env child (fun () ->
+      compile_ops inst slots env child (fun () ->
           let key = List.map (fun c -> c env) ckeys in
           let acc =
-            match Vtbl.find_opt table key with
+            match Value.Tbl.find_opt table key with
             | Some acc -> acc
             | None ->
               let acc = ref (Monoid.zero monoid) in
-              Vtbl.add table key acc;
+              Value.Tbl.add table key acc;
               order := key :: !order;
               acc
           in
@@ -440,13 +486,13 @@ and compile_ops ctx slots needs flushes env (p : Plan.t) (consume : unit -> unit
           acc := Monoid.merge monoid !acc unit)
     in
     fun () ->
-      Vtbl.reset table;
+      Value.Tbl.reset table;
       order := [];
       run_child ();
       Governor.checkpoint ~source:"compile" ();
       List.iter
         (fun key ->
-          let acc = Vtbl.find table key in
+          let acc = Value.Tbl.find table key in
           List.iter2 (fun s v -> env.(s) <- v) key_slots key;
           env.(var_slot) <- Monoid.finalize monoid !acc;
           consume ())
@@ -461,3 +507,15 @@ let query ctx plan =
     Ladder.run [ vectorized ] ~last:(fun () -> Lazy.force closure (fun _ -> ()))
 
 let scalar ctx ~slots e = compile_scalar ctx slots e
+
+let pipeline ctx columns plan = make ctx ~outer_slots:[] columns plan
+
+type _ sink =
+  | Fold : Value.t sink
+  | Push : (string * int) list * Value.t array * (unit -> unit) -> unit sink
+
+let range (type a) p (sink : a sink) : lo:int -> hi:int -> a =
+  match sink with
+  | Fold -> fold p ignore
+  | Push (slots, env, consume) ->
+    instance p (fun inst -> compile_ops inst slots env p.plan consume)

@@ -26,15 +26,22 @@ module Effects = Vida_analysis.Effects
    [domains = 1] or an unsupported shape, results are the sequential
    engine's by construction.
 
-   Worker-domain safety: each task compiles its own closures (no shared
-   mutable compile state), reads immutable column arrays built up front on
-   the calling domain, and polls/charges the caller's governor session
-   through its atomic counters. Expressions whose compiled form could
-   touch shared lazy state (subqueries, lambdas, free variables that
-   resolve to registry sources and would materialize them inside a
-   worker) are rejected by {!Vida_analysis.Effects.worker_verdict},
-   declining parallelism rather than racing; every decline is recorded
-   with its reason in {!last_declines}. *)
+   This module runs no row itself. Every row a morsel reads is produced,
+   filtered and bound by the vectorized kernel or by {!Compile}'s pipeline
+   over columns fetched up front; what stays here is the parallelism:
+   resolving chains, declining on effect verdicts, splitting into morsels,
+   stitching the join table and merging partials in order.
+
+   Worker-domain safety: each task instantiates its own kernel scratch or
+   compiles its own closures (no shared mutable compile state), reads
+   immutable column arrays built up front on the calling domain, and
+   polls/charges the caller's governor session through its atomic
+   counters. Expressions whose compiled form could touch shared lazy state
+   (subqueries, lambdas, free variables that resolve to registry sources
+   and would materialize them inside a worker) are rejected by
+   {!Vida_analysis.Effects.worker_verdict}, declining parallelism rather
+   than racing; every decline is recorded with its reason in
+   {!last_declines}. *)
 
 type decline = { where : string; reason : string }
 
@@ -139,9 +146,6 @@ let plan_of_chain (c : chain) =
     (Plan.Source { var = c.var; expr = Expr.Var c.name })
     c.steps
 
-(* A resolved chain records its source's cardinality, the value the
-   closure scan records, so the optimizer's statistics do not depend on
-   the domain budget. *)
 let resolve_chain ctx ?whole plan (p : Plan.t) =
   match Analysis.chain p with
   | None -> None
@@ -160,51 +164,30 @@ let resolve_chain ctx ?whole plan (p : Plan.t) =
           match Plugins.column_arrays ctx source ~fields with
           | None -> None
           | Some (n, columns) ->
-            if n > 0 then
-              Feedback.record ctx.Plugins.feedback
-                ~key:(Feedback.cardinality_key name)
-                ~observed:(float_of_int n);
             Some { var; name; steps; n; columns = Array.of_list columns })))
-
-(* Per-task compiled pipeline for one chain: applies steps to the row
-   loaded in slot [base] and calls [sink] on rows that survive. Compiled
-   closures are task-local; the column arrays they read are immutable. *)
-let compile_steps ctx ~slots steps =
-  List.map
-    (function
-      | Filter pred -> `Filter (Compile.scalar ctx ~slots pred)
-      | Bind (v, e) -> `Bind (List.assoc v slots, Compile.scalar ctx ~slots e))
-    steps
-
-let run_steps compiled env k =
-  let rec apply = function
-    | [] -> k ()
-    | `Filter cp :: rest -> if Eval.truthy (cp env) then apply rest
-    | `Bind (slot, ce) :: rest ->
-      env.(slot) <- ce env;
-      apply rest
-  in
-  apply compiled
-
-(* Row record built from hoisted columns without a per-row closure. *)
-let record_of_columns columns i =
-  let rec go j acc =
-    if j < 0 then acc
-    else
-      let f, c = Array.unsafe_get columns j in
-      go (j - 1) ((f, Column.get c i) :: acc)
-  in
-  Value.Record (go (Array.length columns - 1) [])
 
 (* Morsels per domain: a few extra so the atomic-counter scheduler can
    rebalance skew between chunks. *)
 let morsel_ranges n d = Morsel.chunks n (d * 4)
 
+(* Every morsel region runs here: [n] rows split into morsels, [task ()]
+   run over each range. The task is instantiated on the worker's own
+   domain (its kernel scratch, or its compiled closures). Results come
+   back in morsel (= source) order. *)
+let drive ~domains n task =
+  let ranges = morsel_ranges n domains in
+  Morsel.run ~domains ~tasks:(Array.length ranges) (fun t ->
+      let lo, hi = ranges.(t) in
+      task () ~lo ~hi)
+
 (* Discharge the monoid-law obligation before merging partials: the
    indexed fold below combines them in morsel (= source) order, an
    [`Ordered] strategy, which {!Effects.check_merge} proves sufficient for
-   every monoid — including non-commutative list/array concatenation. *)
-let merge_partials monoid partials =
+   every monoid — including non-commutative list/array concatenation.
+   P10: with the sanitizer active, the same obligation is discharged on
+   every dispatch; a future scheduler that reordered partials would fail
+   here before returning rows. *)
+let merge_partials ~subject monoid partials =
   (match Effects.check_merge monoid ~strategy:`Ordered with
   | Ok () -> ()
   | Error reason ->
@@ -212,112 +195,38 @@ let merge_partials monoid partials =
       (Vida_error.Error
          (Vida_error.Plan_invalid
             { stage = "parallel"; rule = Some "morsel-merge"; reason })));
-  Array.fold_left (Monoid.merge monoid) (Monoid.zero monoid) partials
-
-(* --- Reduce over a single chain ------------------------------------- *)
-
-(* Vectorized rung inside morsels: the kernel is compiled once on the
-   calling domain (typing the promoted columns); each worker instantiates
-   its own scratch and folds its ranges batch-at-a-time. Partials are the
-   same pre-finalize accumulator carriers the tuple path produces, so
-   {!merge_partials} is unchanged. *)
-let fold_kernel ctx ~domains ~monoid (c : chain) kernel =
-  (* P10: discharge the merge-order obligation explicitly on every
-     vectorized dispatch when the sanitizer is active. The indexed fold
-     in [merge_partials] is an [`Ordered] merge; a future scheduler
-     that reordered partials would fail here before returning rows. *)
   if Vida_sync.enabled () then begin
     Vida_sync.note_kernel_check ();
     match Vida_analysis.Kernel.check_merge_order monoid ~strategy:`Ordered with
-    | Some reason -> Vida_sync.kernel_failed ~id:"P10" ~subject:c.name "%s" reason
+    | Some reason -> Vida_sync.kernel_failed ~id:"P10" ~subject "%s" reason
     | None -> ()
   end;
-  let ranges = morsel_ranges c.n domains in
-  let partials =
-    Morsel.run ~domains ~tasks:(Array.length ranges) (fun t ->
-        let inst = Vector.instantiate kernel in
-        let lo, hi = ranges.(t) in
-        Vector.run_range inst ~lo ~hi)
-  in
-  Vector.flush_feedback ctx kernel;
-  Monoid.finalize monoid (merge_partials monoid partials)
+  Array.fold_left (Monoid.merge monoid) (Monoid.zero monoid) partials
 
-let fold_chain_rows ctx ~domains ~monoid ~head (c : chain) =
-  let vars = chain_vars c.var c.steps in
-  let slots = List.mapi (fun i v -> (v, i)) vars in
-  let nslots = List.length vars in
-  let ranges = morsel_ranges c.n domains in
-  let partials =
-    Morsel.run ~domains ~tasks:(Array.length ranges) (fun t ->
-        let compiled = compile_steps ctx ~slots c.steps in
-        let chead = Compile.scalar ctx ~slots head in
-        let env = Array.make nslots Value.Null in
-        let acc = ref (Monoid.zero monoid) in
-        let lo, hi = ranges.(t) in
-        for i = lo to hi - 1 do
-          Governor.poll ~source:"parallel" ();
-          env.(0) <- record_of_columns c.columns i;
-          run_steps compiled env (fun () ->
-              acc := Monoid.merge monoid !acc (Monoid.unit monoid (chead env)))
-        done;
-        !acc)
-  in
-  (* indexed merge: partials combine in morsel (= source) order, which is
-     what makes non-commutative monoids (list/array concat) correct *)
-  Monoid.finalize monoid (merge_partials monoid partials)
+(* --- Reduce over one chain, and the bare chain ------------------------ *)
 
-let fold_chain ctx ~domains ~monoid ~head plan (c : chain) =
-  Ladder.run
-    [ Ladder.vectorized ctx plan
-        (Vector.Given (c.n, c.columns))
-        (fold_kernel ctx ~domains ~monoid c) ]
-    ~last:(fun () -> fold_chain_rows ctx ~domains ~monoid ~head c)
-
-(* --- bare chain: parallel filtered/projected materialization --------- *)
-
-let materialize_chain ctx ~domains (c : chain) =
-  let vars = chain_vars c.var c.steps in
-  let slots = List.mapi (fun i v -> (v, i)) vars in
-  let nslots = List.length vars in
-  let ranges = morsel_ranges c.n domains in
-  let chunks =
-    Morsel.run ~domains ~tasks:(Array.length ranges) (fun t ->
-        let compiled = compile_steps ctx ~slots c.steps in
-        let env = Array.make nslots Value.Null in
-        let out = ref [] in
-        let lo, hi = ranges.(t) in
-        for i = lo to hi - 1 do
-          Governor.poll ~source:"parallel" ();
-          env.(0) <- record_of_columns c.columns i;
-          run_steps compiled env (fun () ->
-              out :=
-                Value.Record
-                  (List.map (fun (v, s) -> (v, env.(s))) slots)
-                :: !out)
-        done;
-        List.rev !out)
-  in
-  Value.Bag (List.concat (Array.to_list chunks))
+(* Both rungs fold morsels through [drive]: the vectorized kernel
+   batch at a time, else Compile's pipeline row at a time. Partials are
+   pre-finalize accumulators either way (a bare chain's are bag chunks),
+   so {!merge_partials} is shared. *)
+let fold_chain ctx ~domains ~monoid plan (c : chain) =
+  let columns = Vector.Given (c.n, c.columns) in
+  let fold task = merge_partials ~subject:c.name monoid (drive ~domains c.n task) in
+  Monoid.finalize monoid
+    (Ladder.run
+       [ Ladder.vectorized ctx plan columns (fun kernel ->
+             let acc = fold (fun () -> Vector.run_range (Vector.instantiate kernel)) in
+             Vector.flush_feedback ctx kernel;
+             acc) ]
+       ~last:(fun () ->
+         let p = Compile.pipeline ctx columns plan in
+         let acc = fold (fun () -> Compile.range p Compile.Fold) in
+         Compile.flush_feedback p;
+         acc))
 
 (* --- Reduce over an equi-join of two chains -------------------------- *)
 
-module Vkey = struct
-  type t = Value.t list
-
-  let equal a b = List.length a = List.length b && List.for_all2 Value.equal a b
-  let hash ks = List.fold_left (fun acc v -> (acc * 65599) + Value.hash v) 17 ks
-end
-
-module Vtbl = Hashtbl.Make (Vkey)
-
-let charge_snapshot (vs : Value.t list) =
-  if Governor.budgeted () then
-    Governor.charge ~source:"parallel"
-      (List.fold_left
-         (fun acc v -> acc + 16 + Vida_storage.Cache.value_bytes v)
-         0 vs)
-
-let join_reduce ctx ~domains ~monoid ~head ~pred ~post (lc : chain) (rc : chain) =
+let join_reduce ctx ~domains ~monoid ~head ~pred ~post ~join (lc : chain) (rc : chain) =
   let lvars = chain_vars lc.var lc.steps and rvars = chain_vars rc.var rc.steps in
   let post_vars =
     List.filter_map (function Bind (v, _) -> Some v | Filter _ -> None) post
@@ -325,7 +234,6 @@ let join_reduce ctx ~domains ~monoid ~head ~pred ~post (lc : chain) (rc : chain)
   let vars = lvars @ rvars @ post_vars in
   let slots = List.mapi (fun i v -> (v, i)) vars in
   let nslots = List.length vars in
-  let lbase = 0 and rbase = List.length lvars in
   let keys, residual = Analysis.split_equi ~left:lvars ~right:rvars pred in
   if keys = [] then None
   else if
@@ -343,82 +251,114 @@ let join_reduce ctx ~domains ~monoid ~head ~pred ~post (lc : chain) (rc : chain)
       | None -> true)
   then None
   else begin
-    let right_slots = List.mapi (fun i _ -> rbase + i) rvars in
-    (* build: each right-side morsel collects (key, snapshot) pairs in row
-       order; the hash table is stitched on the calling domain in morsel
-       order, reproducing the sequential engine's bucket order exactly *)
-    let rranges = morsel_ranges rc.n domains in
-    let built =
-      Morsel.run ~domains ~tasks:(Array.length rranges) (fun t ->
-          let compiled = compile_steps ctx ~slots rc.steps in
-          let rkeys = List.map (fun (_, r) -> Compile.scalar ctx ~slots r) keys in
-          let env = Array.make nslots Value.Null in
-          let out = ref [] in
-          let lo, hi = rranges.(t) in
-          for i = lo to hi - 1 do
-            Governor.poll ~source:"parallel" ();
-            env.(rbase) <- record_of_columns rc.columns i;
-            run_steps compiled env (fun () ->
-                let key = List.map (fun c -> c env) rkeys in
-                (* NULL keys never match (three-valued equality) *)
-                if not (List.exists (fun v -> v = Value.Null) key) then (
-                  let snapshot = List.map (fun s -> env.(s)) right_slots in
-                  charge_snapshot snapshot;
-                  out := (key, snapshot) :: !out))
-          done;
-          List.rev !out)
+    let right_slots = List.map (fun v -> List.assoc v slots) rvars in
+    let chain_pipeline (c : chain) =
+      Compile.pipeline ctx (Vector.Given (c.n, c.columns)) (plan_of_chain c)
     in
-    let table : Value.t list list Vtbl.t = Vtbl.create 1024 in
-    Array.iter
-      (List.iter (fun (key, snapshot) ->
-           let bucket = try Vtbl.find table key with Not_found -> [] in
-           Vtbl.replace table key (snapshot :: bucket)))
-      built;
-    (* buckets were accumulated newest-first; flip them once so the probe
-       streams matches in right-source order, as the sequential probe does *)
-    let ordered = Vtbl.create (Vtbl.length table) in
-    Vtbl.iter (fun key bucket -> Vtbl.replace ordered key (List.rev bucket)) table;
+    let key_of exprs =
+      let compiled = List.map (Compile.scalar ctx ~slots) exprs in
+      fun env ->
+        let key = List.map (fun c -> c env) compiled in
+        (* NULL keys never match (three-valued equality) *)
+        if List.exists (fun v -> v = Value.Null) key then None else Some key
+    in
+    (* build: each right-side morsel collects (key, snapshot) pairs, newest
+       first, and counts the rows it saw *)
+    let build = chain_pipeline rc in
+    let built =
+      drive ~domains rc.n (fun () ->
+          let env = Array.make nslots Value.Null in
+          let rkey = key_of (List.map snd keys) in
+          let rows = ref 0 and pairs = ref [] in
+          let run =
+            Compile.range build
+              (Compile.Push
+                 ( slots, env,
+                   fun () ->
+                     incr rows;
+                     Option.iter
+                       (fun key ->
+                         let snapshot = List.map (fun s -> env.(s)) right_slots in
+                         Compile.charge_snapshot snapshot;
+                         pairs := (key, snapshot) :: !pairs)
+                       (rkey env) ))
+          in
+          fun ~lo ~hi ->
+            run ~lo ~hi;
+            (!pairs, !rows))
+    in
+    (* stitched on the calling domain from the last row back, prepending:
+       every bucket comes out in right-source order, the order the
+       sequential probe streams matches in *)
+    let table = Value.Tbl.create 1024 in
+    for t = Array.length built - 1 downto 0 do
+      List.iter
+        (fun (key, snapshot) ->
+          let bucket = Option.value (Value.Tbl.find_opt table key) ~default:[] in
+          Value.Tbl.replace table key (snapshot :: bucket))
+        (fst built.(t))
+    done;
     (* hash build done: boundary check before the probe phase starts *)
     Governor.checkpoint ~source:"parallel" ();
-    let lranges = morsel_ranges lc.n domains in
-    let partials =
-      Morsel.run ~domains ~tasks:(Array.length lranges) (fun t ->
-          let compiled = compile_steps ctx ~slots lc.steps in
-          let cpost = compile_steps ctx ~slots post in
-          let lkeys = List.map (fun (l, _) -> Compile.scalar ctx ~slots l) keys in
+    let probe = chain_pipeline lc in
+    (* post-join steps: a Unit-rooted chain, run once per match *)
+    let after =
+      Compile.pipeline ctx Vector.Fetch (List.fold_left plan_of_step Plan.Unit post)
+    in
+    let probed =
+      drive ~domains lc.n (fun () ->
+          let env = Array.make nslots Value.Null in
+          let lkey = key_of (List.map fst keys) in
           let cresidual = Option.map (Compile.scalar ctx ~slots) residual in
           let chead = Compile.scalar ctx ~slots head in
-          let env = Array.make nslots Value.Null in
-          let acc = ref (Monoid.zero monoid) in
-          let lo, hi = lranges.(t) in
-          for i = lo to hi - 1 do
-            Governor.poll ~source:"parallel" ();
-            env.(lbase) <- record_of_columns lc.columns i;
-            run_steps compiled env (fun () ->
-                let key = List.map (fun c -> c env) lkeys in
-                if not (List.exists (fun v -> v = Value.Null) key) then
-                  match Vtbl.find_opt ordered key with
-                  | None -> ()
-                  | Some bucket ->
-                    List.iter
-                      (fun snapshot ->
-                        List.iter2
-                          (fun s v -> env.(s) <- v)
-                          right_slots snapshot;
-                        let emit () =
-                          run_steps cpost env (fun () ->
-                              acc :=
-                                Monoid.merge monoid !acc
-                                  (Monoid.unit monoid (chead env)))
-                        in
-                        match cresidual with
-                        | None -> emit ()
-                        | Some cr -> if Eval.truthy (cr env) then emit ())
-                      bucket)
-          done;
-          !acc)
+          let acc = ref (Monoid.zero monoid) and rows = ref 0 and matched = ref 0 in
+          let emit =
+            Compile.range after
+              (Compile.Push
+                 ( slots, env,
+                   fun () ->
+                     acc := Monoid.merge monoid !acc (Monoid.unit monoid (chead env)) ))
+          in
+          let run =
+            Compile.range probe
+              (Compile.Push
+                 ( slots, env,
+                   fun () ->
+                     incr rows;
+                     Option.iter
+                       (fun key ->
+                         List.iter
+                           (fun snapshot ->
+                             List.iter2 (fun s v -> env.(s) <- v) right_slots snapshot;
+                             let pass =
+                               match cresidual with
+                               | None -> true
+                               | Some cr -> Eval.truthy (cr env)
+                             in
+                             if pass then (
+                               incr matched;
+                               emit ~lo:0 ~hi:1))
+                           (Option.value (Value.Tbl.find_opt table key) ~default:[]))
+                       (lkey env) ))
+          in
+          fun ~lo ~hi ->
+            run ~lo ~hi;
+            (!acc, !rows, !matched))
     in
-    Some (Monoid.finalize monoid (merge_partials monoid partials))
+    List.iter Compile.flush_feedback [ build; probe; after ];
+    (* a Join core's selectivity, under its own predicate, as the
+       compiled join records it *)
+    Option.iter
+      (fun pred ->
+        let sum f = Array.fold_left (fun n x -> n + f x) 0 in
+        Compile.record_join ctx pred
+          ~left:(sum (fun (_, r, _) -> r) probed)
+          ~right:(sum snd built)
+          ~matched:(sum (fun (_, _, m) -> m) probed))
+      join;
+    Some
+      (Monoid.finalize monoid
+         (merge_partials ~subject:lc.name monoid (Array.map (fun (a, _, _) -> a) probed)))
   end
 
 (* --- entry point ------------------------------------------------------ *)
@@ -433,7 +373,7 @@ let conj = function
    evaluation counts change, never results), conjoin two-sided filters
    into the join predicate for equi-splitting, and keep everything else
    (binds, filters over bind vars) as post-join steps. *)
-let try_join_reduce ctx ~domains:budget ~monoid ~head plan ~left ~right steps =
+let try_join_reduce ctx ~domains:budget ~monoid ~head ?join plan ~left ~right steps =
   match (resolve_chain ctx plan left, resolve_chain ctx plan right) with
   | Some lc, Some rc ->
     let lvars = chain_vars lc.var lc.steps and rvars = chain_vars rc.var rc.steps in
@@ -477,7 +417,7 @@ let try_join_reduce ctx ~domains:budget ~monoid ~head plan ~left ~right steps =
       let domains = Morsel.domains_for_rows ~domains:budget (lc.n + rc.n) in
       if domains <= 1 then None
       else
-        join_reduce ctx ~domains ~monoid ~head ~pred ~post:(List.rev !post) lc rc)
+        join_reduce ctx ~domains ~monoid ~head ~pred ~post:(List.rev !post) ~join lc rc)
   | _ -> None
 
 let try_query ctx ?domains (plan : Plan.t) : Value.t option =
@@ -506,12 +446,12 @@ let try_query ctx ?domains (plan : Plan.t) : Value.t option =
         else
           let domains = Morsel.domains_for_rows ~domains:budget c.n in
           if domains <= 1 then None
-          else Some (fold_chain ctx ~domains ~monoid ~head plan c)
+          else Some (fold_chain ctx ~domains ~monoid plan c)
       | None -> (
         match Analysis.peel child [] with
         | Plan.Join { pred; left; right }, steps ->
-          try_join_reduce ctx ~domains:budget ~monoid ~head plan ~left ~right
-            (Filter pred :: steps)
+          try_join_reduce ctx ~domains:budget ~monoid ~head ~join:pred plan ~left
+            ~right (Filter pred :: steps)
         | Plan.Product { left; right }, steps ->
           try_join_reduce ctx ~domains:budget ~monoid ~head plan ~left ~right steps
         | _ -> None))
@@ -522,4 +462,4 @@ let try_query ctx ?domains (plan : Plan.t) : Value.t option =
       | Some c ->
         let domains = Morsel.domains_for_rows ~domains:budget c.n in
         if domains <= 1 then None
-        else Some (materialize_chain ctx ~domains c))
+        else Some (fold_chain ctx ~domains ~monoid:(Monoid.Coll Ty.Bag) p c))

@@ -15,12 +15,18 @@
     - a bare chain — parallel filtered/projected materialization,
       concatenated in morsel order.
 
-    Needed columns are faulted in once on the calling domain (through the
-    ordinary plugins and caches); workers then read only immutable arrays
-    and their own task-compiled closures, polling the caller's governor
-    session through atomic counters. Floating-point accumulations are
-    reassociated by the split, so float aggregates can differ from the
-    sequential result in the last bits. *)
+    This module drives morsels over the vectorized and closure rungs,
+    with no row fold of its own: every morsel runs through the
+    {!Vector} kernel or an instance of {!Compile}'s pipeline
+    ({!Compile.range}), and the join's build and probe are that pipeline
+    with a consumer. Needed columns are faulted in once on the calling
+    domain (through the ordinary plugins and caches); workers then read
+    only immutable arrays and their own kernel scratch or task-compiled
+    closures, polling the caller's governor session through atomic
+    counters. Feedback from all morsels is summed and recorded once, on
+    the calling domain. Floating-point accumulations are reassociated by
+    the split, so float aggregates can differ from the sequential result
+    in the last bits. *)
 
 (** One reason the engine declined (part of) a plan for worker execution:
     [where] names the position ("fold head", "join key", "chain filter",

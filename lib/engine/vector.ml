@@ -1028,7 +1028,11 @@ let flush_feedback ctx (k : kernel) =
         Feedback.record ctx.Plugins.feedback
           ~key:(Feedback.selectivity_key tap.tap_pred)
           ~observed:(float_of_int passed /. float_of_int seen))
-    k.k_taps
+    k.k_taps;
+  if k.k_nrows > 0 then
+    Feedback.record ctx.Plugins.feedback
+      ~key:(Feedback.cardinality_key k.k_name)
+      ~observed:(float_of_int k.k_nrows)
 
 (* --- the kernel entry --------------------------------------------------- *)
 
@@ -1131,8 +1135,4 @@ let kernel ctx (p : Plan.t) columns =
 let run ctx k =
   let acc = run_range (instantiate k) ~lo:0 ~hi:k.k_nrows in
   flush_feedback ctx k;
-  if k.k_nrows > 0 then
-    Feedback.record ctx.Plugins.feedback
-      ~key:(Feedback.cardinality_key k.k_name)
-      ~observed:(float_of_int k.k_nrows);
   Monoid.finalize k.k_monoid acc

@@ -78,5 +78,5 @@ val instantiate : kernel -> instance
 val run_range : instance -> lo:int -> hi:int -> Vida_data.Value.t
 
 (** [flush_feedback ctx k] records the selectivities observed by [k]'s
-    filters across all its instances. *)
+    filters across all its instances, and the source cardinality. *)
 val flush_feedback : Plugins.ctx -> kernel -> unit

@@ -148,6 +148,29 @@ let test_correlated_subquery () =
   let sources = reference_sources ctx in
   check_value "correlated" (Naive_exec.run ~sources plan) (Compile.query ctx plan ())
 
+(* each run of a correlated subquery costs the same whatever ran before
+   it: 8x the outer rows must take about 8x the time, not the 40x and
+   more of a per-run cost that grows with the runs already made *)
+let test_correlated_subquery_linear () =
+  let rows n = Value.List (List.init n (fun i -> Value.Record [ ("age", Value.Int (i mod 90)) ])) in
+  let best_of_3 n =
+    let registry = Registry.create () in
+    let _ = Registry.register_inline registry ~name:"P" (rows n) in
+    let _ = Registry.register_inline registry ~name:"Q" (rows 4) in
+    let run =
+      Compile.query (Plugins.create_ctx registry)
+        (plan_of "for { p <- P } yield sum (for { q <- Q, q.age > p.age } yield count q)")
+    in
+    List.fold_left min infinity
+      (List.init 3 (fun _ ->
+           let t0 = Sys.time () in
+           ignore (run ());
+           Sys.time () -. t0))
+  in
+  let n = 2500 in
+  let ratio = best_of_3 (8 * n) /. best_of_3 n in
+  check_bool (Printf.sprintf "8x the outer rows took %.1fx the time" ratio) true (ratio < 20.)
+
 let test_rerunnable () =
   let ctx = make_ctx () in
   let run = Compile.query ctx (plan_of "for { p <- Patients } yield count p") in
@@ -363,6 +386,8 @@ let () =
         [ Alcotest.test_case "compiled vs reference" `Quick test_differential_compiled;
           Alcotest.test_case "interpreted vs reference" `Quick test_differential_interpreted;
           Alcotest.test_case "correlated subquery" `Quick test_correlated_subquery;
+          Alcotest.test_case "correlated subquery linear" `Quick
+            test_correlated_subquery_linear;
           Alcotest.test_case "rerunnable" `Quick test_rerunnable
         ] );
       ( "caching",

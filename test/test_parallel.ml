@@ -188,28 +188,47 @@ let test_vida_facade_domains () =
       "for { p <- People } yield count p.city"
     ]
 
-(* the optimizer's statistics do not depend on the domain budget: a
-   resolved parallel chain records its source's cardinality just as the
-   sequential scan does, whichever rung folds it *)
+(* the optimizer's statistics do not depend on the domain budget: every
+   rung a parallel chain can fold on records the source cardinality, the
+   filter selectivities and the equi-join selectivity the sequential scan
+   records *)
 let test_cardinality_feedback_domains () =
   with_tiny_floors @@ fun () ->
   let path = tmp_file ".csv" (csv_contents 2000) in
-  let card ~domains ~vectorized =
+  let field v f = Expr.Proj (Expr.Var v, f) in
+  let age_filter = Expr.BinOp (Expr.Gt, field "p" "age", Expr.Const (Value.Int 40)) in
+  let id_join = Expr.BinOp (Expr.Eq, field "p" "id", field "c" "id") in
+  let observe ~domains ~vectorized q key =
     let was = Vector.enabled () in
     Vector.set_enabled vectorized;
     Fun.protect ~finally:(fun () -> Vector.set_enabled was) @@ fun () ->
     let db = Vida.create () in
     Vida.set_domains db domains;
     Vida.csv db ~name:"P" ~path ();
-    ignore (Vida.query_value db "for { p <- P, p.age > 40 } yield sum p.age");
-    Feedback.lookup (Vida.ctx db).Plugins.feedback ~key:(Feedback.cardinality_key "P")
+    Vida.csv db ~name:"C" ~path ();
+    ignore (Vida.query_value db q);
+    let feedback = (Vida.ctx db).Plugins.feedback in
+    (Feedback.lookup feedback ~key:(Feedback.cardinality_key "P"), Feedback.lookup feedback ~key)
+  in
+  let budgets = [ (1, true); (4, true); (1, false); (4, false) ] in
+  let check q key =
+    let _, expected = observe ~domains:1 ~vectorized:false q key in
+    Alcotest.(check bool) (Printf.sprintf "%s observed" key) true (Option.is_some expected);
+    List.iter
+      (fun (domains, vectorized) ->
+        let card, observed = observe ~domains ~vectorized q key in
+        let case = Printf.sprintf "%s at domains=%d vectorized=%b" q domains vectorized in
+        Alcotest.(check (option (float 0.))) ("card|P of " ^ case) (Some 2000.) card;
+        Alcotest.(check (option (float 0.))) (key ^ " of " ^ case) expected observed)
+      budgets
   in
   List.iter
-    (fun (domains, vectorized) ->
-      Alcotest.(check (option (float 0.)))
-        (Printf.sprintf "card|P at domains=%d vectorized=%b" domains vectorized)
-        (Some 2000.) (card ~domains ~vectorized))
-    [ (1, true); (4, true); (1, false); (4, false) ]
+    (fun head ->
+      check
+        (Printf.sprintf "for { p <- P, p.age > 40 } yield %s p.age" head)
+        (Feedback.selectivity_key age_filter))
+    [ "sum"; "bag"; "set" ];
+  check "for { p <- P, c <- C, p.id = c.id } yield count p" (Feedback.join_key id_join)
 
 (* --- parallel auxiliary-structure builds are byte-identical --- *)
 
